@@ -1,14 +1,17 @@
 """Exact linear algebra over the Gaussian rationals Q(i).
 
-Scalars are pairs of arbitrary-precision rationals (stdlib Fraction keeps
-them in lowest terms with positive denominators), so every computation in
-this package is exact and equality tests never need a tolerance.
+A scalar is three Python ints (a, b, d) standing for (a + b*i)/d, kept
+normalised with gcd(a, b, d) = 1 and d > 0, so equal values have equal
+triples.  Every computation in this package is exact and equality tests
+never need a tolerance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from fractions import Fraction
+from functools import total_ordering
+from math import gcd
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CodecError, ShapeError
@@ -40,104 +43,193 @@ def _as_fraction(value: Fraction | int | str) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-@dataclass(frozen=True, slots=True, order=True)
+@total_ordering
 class GaussRat:
-    """An element re + im*i of Q(i).
+    """An element re + im*i of Q(i), stored as ints (a, b, d) meaning (a + b*i)/d.
 
-    The generated ordering compares (re, im) lexicographically.  It is a
-    total order compatible with equality, used for deterministic sorting;
-    it is of course not compatible with the field structure.
+    The ordering compares (re, im) lexicographically.  It is a total order
+    compatible with equality, used for deterministic sorting; it is of
+    course not compatible with the field structure.
     """
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    __slots__ = ("_a", "_b", "_d")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "re", _as_fraction(self.re))
-        object.__setattr__(self, "im", _as_fraction(self.im))
+    def __new__(
+        cls, re: Fraction | int | str = 0, im: Fraction | int | str = 0
+    ) -> "GaussRat":
+        x, y = _as_fraction(re), _as_fraction(im)
+        q, s = x.denominator, y.denominator
+        return _reduce(x.numerator * s, y.numerator * q, q * s)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("GaussRat is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("GaussRat is immutable")
+
+    def __reduce__(self):
+        return (GaussRat, (self.re, self.im))
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return self._a != 0 or self._b != 0
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not GaussRat:
+            return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
+
+    def __hash__(self) -> int:
+        return hash((self._a, self._b, self._d))
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is not GaussRat:
+            return NotImplemented
+        # (re, im) order: with positive denominators, comparing a/d with c/f
+        # is comparing a*f with c*d, for both parts at once
+        d, f = self._d, other._d
+        return (self._a * f, self._b * f) < (other._a * d, other._b * d)
 
     def conjugate(self) -> "GaussRat":
-        return GaussRat(self.re, -self.im)
+        return _make(self._a, -self._b, self._d)
 
     def __neg__(self) -> "GaussRat":
-        return GaussRat(-self.re, -self.im)
+        return _make(-self._a, -self._b, self._d)
 
     def __add__(self, other: object) -> "GaussRat":
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussRat(self.re + o.re, self.im + o.im)
+        if other.__class__ is not GaussRat:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b, d = self._a, self._b, self._d
+        c, e, f = other._a, other._b, other._d
+        if d == f:
+            return _reduce(a + c, b + e, d)
+        return _reduce(a * f + c * d, b * f + e * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other: object) -> "GaussRat":
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussRat(self.re - o.re, self.im - o.im)
+        if other.__class__ is not GaussRat:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b, d = self._a, self._b, self._d
+        c, e, f = other._a, other._b, other._d
+        if d == f:
+            return _reduce(a - c, b - e, d)
+        return _reduce(a * f - c * d, b * f - e * d, d * f)
 
     def __rsub__(self, other: object) -> "GaussRat":
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        return GaussRat(o.re - self.re, o.im - self.im)
+        return o - self
 
     def __mul__(self, other: object) -> "GaussRat":
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussRat(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        if other.__class__ is not GaussRat:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b, d = self._a, self._b, self._d
+        c, e, f = other._a, other._b, other._d
+        return _reduce(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "GaussRat":
-        norm = self.re * self.re + self.im * self.im
+        a, b, d = self._a, self._b, self._d
+        norm = a * a + b * b
         if not norm:
             raise ZeroDivisionError("division by zero in Q(i)")
-        return GaussRat(self.re / norm, -self.im / norm)
+        return _reduce(a * d, -b * d, norm)
 
     def __truediv__(self, other: object) -> "GaussRat":
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
+        if other.__class__ is not GaussRat:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b, d = self._a, self._b, self._d
+        c, e, f = other._a, other._b, other._d
+        norm = c * c + e * e
+        if not norm:
+            raise ZeroDivisionError("division by zero in Q(i)")
+        # (a + b*i)/d divided by (c + e*i)/f is f*(a + b*i)*(c - e*i) / (d*norm)
+        return _reduce((a * c + b * e) * f, (b * c - a * e) * f, d * norm)
 
     def __rtruediv__(self, other: object) -> "GaussRat":
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        return o * self.inverse()
+        return o / self
 
     def __pow__(self, exponent: int) -> "GaussRat":
         if not isinstance(exponent, int):
             return NotImplemented
         base = self if exponent >= 0 else self.inverse()
         out = ONE
-        for _ in range(abs(exponent)):
-            out = out * base
+        n = abs(exponent)
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
         return out
 
+    def __repr__(self) -> str:
+        return f"GaussRat(re={self.re!r}, im={self.im!r})"
+
     def __str__(self) -> str:
-        if not self.im:
-            return str(self.re)
-        imag = "i" if abs(self.im) == 1 else f"{abs(self.im)}i"
-        if not self.re:
-            return imag if self.im > 0 else f"-{imag}"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{imag}"
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        imag = "i" if abs(im) == 1 else f"{abs(im)}i"
+        if not re:
+            return imag if im > 0 else f"-{imag}"
+        sign = "+" if im > 0 else "-"
+        return f"{re}{sign}{imag}"
+
+
+# GaussRat.__setattr__ refuses every write, so results fill their slots
+# through the slot descriptors
+_new_scalar = object.__new__
+_set_a = GaussRat._a.__set__
+_set_b = GaussRat._b.__set__
+_set_d = GaussRat._d.__set__
+
+
+def _make(a: int, b: int, d: int) -> GaussRat:
+    """GaussRat from a triple that is already normalised; no checks."""
+    x = _new_scalar(GaussRat)
+    _set_a(x, a)
+    _set_b(x, b)
+    _set_d(x, d)
+    return x
+
+
+def _reduce(a: int, b: int, d: int) -> GaussRat:
+    """GaussRat (a + b*i)/d for ints with d > 0, divided by gcd(a, b, d)."""
+    g = gcd(a, b, d)
+    if g != 1:
+        return _make(a // g, b // g, d // g)
+    return _make(a, b, d)
 
 
 def _coerce(value: object) -> GaussRat | None:
     if isinstance(value, GaussRat):
         return value
-    if isinstance(value, (int, Fraction)):
-        return GaussRat(Fraction(value))
+    if isinstance(value, int):
+        return _make(int(value), 0, 1)
+    if isinstance(value, Fraction):
+        return _make(value.numerator, 0, value.denominator)
     return None
 
 
@@ -146,23 +238,42 @@ def as_gauss(value: object) -> GaussRat:
     if isinstance(value, GaussRat):
         return value
     if isinstance(value, (int, Fraction, str)):
-        return GaussRat(_as_fraction(value))
+        return GaussRat(value)
     raise TypeError(f"cannot interpret {value!r} as an exact Gaussian rational")
 
 
-ZERO = GaussRat()
-ONE = GaussRat(1)
-I = GaussRat(0, 1)
+ZERO = _make(0, 0, 1)
+ONE = _make(1, 0, 1)
+I = _make(0, 1, 1)
 
 
-def _fraction_str(f: Fraction) -> str:
-    # denominator is always written, so emission is canonical byte for byte
-    return f"{f.numerator}/{f.denominator}"
+def _fraction_str(num: int, den: int) -> str:
+    # lowest terms, and the denominator is always written, so emission is
+    # canonical byte for byte
+    g = gcd(num, den)
+    return f"{num // g}/{den // g}"
 
 
 def gauss_to_json(x: GaussRat) -> list[str]:
     """Serialize as a 2-element array of rational strings, e.g. ["1/2", "-3/1"]."""
-    return [_fraction_str(x.re), _fraction_str(x.im)]
+    return [_fraction_str(x._a, x._d), _fraction_str(x._b, x._d)]
+
+
+# the wire format of one part: an optional minus sign, decimal digits, and
+# an optional "/" with a decimal denominator
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _parse_rational(text: str) -> tuple[int, int]:
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
+        raise ValueError(f"{text!r} is not of the form n or n/m")
+    num, den = match.groups()
+    # int() also refuses digit strings longer than the interpreter's limit
+    q = 1 if den is None else int(den)
+    if not q:
+        raise ValueError(f"zero denominator in {text!r}")
+    return int(num), q
 
 
 def gauss_from_json(data: object) -> GaussRat:
@@ -173,9 +284,10 @@ def gauss_from_json(data: object) -> GaussRat:
     ):
         raise CodecError(f"expected a 2-element array of rational strings, got {data!r}")
     try:
-        return GaussRat(Fraction(data[0]), Fraction(data[1]))
-    except (ValueError, ZeroDivisionError) as exc:
+        (p, q), (r, s) = _parse_rational(data[0]), _parse_rational(data[1])
+    except ValueError as exc:
         raise CodecError(f"bad rational in {data!r}: {exc}") from None
+    return _reduce(p * s, r * q, q * s)
 
 
 class Mat:
@@ -211,8 +323,19 @@ class Mat:
         raise AttributeError("Mat is immutable")
 
     @classmethod
+    def _trusted(cls, grid: Iterable[Sequence[GaussRat]], cols: int) -> "Mat":
+        """Wrap rows of `cols` GaussRat entries each, with no coercion and no
+        shape checks: only for entries this module has computed or coerced."""
+        m = object.__new__(cls)
+        entries = tuple(map(tuple, grid))
+        object.__setattr__(m, "rows", len(entries))
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "entries", entries)
+        return m
+
+    @classmethod
     def zero(cls, rows: int, cols: int) -> "Mat":
-        return cls([[ZERO] * cols for _ in range(rows)], cols=cols)
+        return cls._trusted([(ZERO,) * cols] * rows, cols)
 
     @classmethod
     def identity(cls, n: int) -> "Mat":
@@ -222,8 +345,8 @@ class Mat:
     def diagonal(cls, values: Sequence[object]) -> "Mat":
         vals = [as_gauss(v) for v in values]
         n = len(vals)
-        return cls(
-            [[vals[i] if i == j else ZERO for j in range(n)] for i in range(n)], cols=n
+        return cls._trusted(
+            [[vals[i] if i == j else ZERO for j in range(n)] for i in range(n)], n
         )
 
     @classmethod
@@ -245,7 +368,7 @@ class Mat:
         for i, row in enumerate(grid):
             for r in range(heights[i]):
                 out.append([x for blk in row for x in blk.entries[r]])
-        return cls(out, cols=sum(widths))
+        return cls._trusted(out, sum(widths))
 
     @classmethod
     def block_diag(cls, blocks: Sequence["Mat"]) -> "Mat":
@@ -281,19 +404,19 @@ class Mat:
         return hash((self.shape, self.entries))
 
     def __neg__(self) -> "Mat":
-        return Mat([[-x for x in row] for row in self.entries], cols=self.cols)
+        return Mat._trusted([[-x for x in row] for row in self.entries], self.cols)
 
     def __add__(self, other: "Mat") -> "Mat":
         if not isinstance(other, Mat):
             return NotImplemented
         if self.shape != other.shape:
             raise ShapeError(f"cannot add {self.shape} and {other.shape}")
-        return Mat(
+        return Mat._trusted(
             [
                 [a + b for a, b in zip(ra, rb)]
                 for ra, rb in zip(self.entries, other.entries)
             ],
-            cols=self.cols,
+            self.cols,
         )
 
     def __sub__(self, other: "Mat") -> "Mat":
@@ -317,7 +440,7 @@ class Mat:
 
     def scale(self, scalar: object) -> "Mat":
         c = as_gauss(scalar)
-        return Mat([[c * x for x in row] for row in self.entries], cols=self.cols)
+        return Mat._trusted([[c * x for x in row] for row in self.entries], self.cols)
 
     def _matmul(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
@@ -333,7 +456,7 @@ class Mat:
                 for j, b in enumerate(other.entries[p]):
                     if b:
                         orow[j] = orow[j] + a * b
-        return Mat(out, cols=other.cols)
+        return Mat._trusted(out, other.cols)
 
     def apply(self, vector: Sequence[GaussRat]) -> tuple[GaussRat, ...]:
         """Matrix-vector product."""
@@ -349,15 +472,15 @@ class Mat:
         return tuple(out)
 
     def transpose(self) -> "Mat":
-        return Mat(
+        return Mat._trusted(
             [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
+            self.rows,
         )
 
     def submatrix(self, row_idx: Iterable[int], col_idx: Iterable[int]) -> "Mat":
         cols = list(col_idx)
-        return Mat(
-            [[self.entries[i][j] for j in cols] for i in row_idx], cols=len(cols)
+        return Mat._trusted(
+            [[self.entries[i][j] for j in cols] for i in row_idx], len(cols)
         )
 
     def is_zero(self) -> bool:
@@ -393,18 +516,21 @@ def mat_from_json(data: object, *, rows: int, cols: int) -> Mat:
         if not isinstance(row, list) or len(row) != cols:
             raise CodecError(f"expected a matrix row of width {cols}, got {row!r}")
         grid.append([gauss_from_json(x) for x in row])
-    return Mat(grid, cols=cols)
+    return Mat._trusted(grid, cols)
 
 
 def _echelon(
     rows: list[list[GaussRat]], ncols: int
 ) -> tuple[list[list[GaussRat]], list[int]]:
-    """Fraction-free forward elimination in place; returns (rows, pivot columns).
+    """Forward elimination in place; returns (rows, pivot columns).
 
-    Bareiss-style condensation: rows are combined by cross multiplication and
-    divided by the previous pivot, which keeps intermediate numerators small.
-    The pivot for each column is the first row with a nonzero entry, so the
-    result is deterministic.
+    The pivot for each column is the first remaining row with a nonzero
+    entry there, so the result is deterministic.  Every later row whose
+    entry in the pivot column (its factor) is nonzero becomes
+    (pivot * row - factor * pivot_row) / previous pivot; rows whose factor
+    is zero are left as they are, not rescaled.  This is Bareiss's update
+    formula, but each step is an exact division in Q(i), so it is not
+    fraction-free and entries are reduced Gaussian rationals.
     """
     m = len(rows)
     r = 0
@@ -534,11 +660,11 @@ def commutant_basis(gens: Sequence[Mat]) -> list[Mat]:
                         row[t] = v
                     rows.append(row)
 
-    vectors = kernel_basis(Mat(rows, cols=len(positions)))
+    vectors = kernel_basis(Mat._trusted(rows, len(positions)))
     out = []
     for v in vectors:
         grid = [[ZERO] * n for _ in range(n)]
         for t, (i, j) in enumerate(positions):
             grid[i][j] = v[t]
-        out.append(Mat(grid, cols=n))
+        out.append(Mat._trusted(grid, n))
     return out

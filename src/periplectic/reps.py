@@ -200,7 +200,8 @@ def seed_from_json(data: object) -> Seed:
     if missing:
         raise CodecError(f"seed object lacks keys {sorted(missing)}")
     k, l = data["k"], data["l"]
-    if not isinstance(k, int) or not isinstance(l, int) or k < 0 or l < 0:
+    # a JSON true or false would pass as an int
+    if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in (k, l)):
         raise CodecError("k and l must be non-negative integers")
     coupling = mat_from_json(data["S"], rows=k, cols=l)
     ab = data["ab"]

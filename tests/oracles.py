@@ -1,7 +1,9 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here deliberately avoids the production code paths: elimination
-is plain divide-by-pivot Gauss-Jordan instead of fraction-free elimination,
+is plain divide-by-pivot Gauss-Jordan instead of the library's elimination,
+and it computes on (re, im) pairs of stdlib Fractions rather than on
+GaussRat, converting only where an oracle takes or returns library values;
 the commutant system is assembled over all matrix positions with no
 presolve, and isomorphism is decided by enumerating permutations and
 propagating scalings along the zero pattern.
@@ -10,29 +12,60 @@ propagating scalings along the zero pattern.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from typing import Sequence
 
 from periplectic import GaussRat, Mat, ONE, Rep, Seed, ZERO
 
 Vector = tuple[GaussRat, ...]
+Pair = tuple[Fraction, Fraction]
+
+_PAIR_ZERO: Pair = (Fraction(0), Fraction(0))
+_PAIR_ONE: Pair = (Fraction(1), Fraction(0))
 
 
-def rref(rows: Sequence[Sequence[GaussRat]], ncols: int):
-    """Reduced row echelon form by pivot division; returns (rows, pivots)."""
+def to_pair(x: GaussRat) -> Pair:
+    return (x.re, x.im)
+
+
+def _pairs(rows: Sequence[Sequence[GaussRat]]) -> list[list[Pair]]:
+    return [[to_pair(x) for x in row] for row in rows]
+
+
+def pair_add(x: Pair, y: Pair) -> Pair:
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def pair_sub(x: Pair, y: Pair) -> Pair:
+    return (x[0] - y[0], x[1] - y[1])
+
+
+def pair_mul(x: Pair, y: Pair) -> Pair:
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def pair_inverse(x: Pair) -> Pair:
+    norm = x[0] * x[0] + x[1] * x[1]
+    return (x[0] / norm, -x[1] / norm)
+
+
+def rref(rows: Sequence[Sequence[Pair]], ncols: int):
+    """Reduced row echelon form by pivot division on (re, im) Fraction
+    pairs; returns (rows, pivots)."""
     work = [list(r) for r in rows]
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        hit = next((i for i in range(r, len(work)) if work[i][c]), None)
+        hit = next((i for i in range(r, len(work)) if any(work[i][c])), None)
         if hit is None:
             continue
         work[r], work[hit] = work[hit], work[r]
-        inv = work[r][c].inverse()
-        work[r] = [x * inv for x in work[r]]
+        inv = pair_inverse(work[r][c])
+        work[r] = [pair_mul(x, inv) for x in work[r]]
         for i in range(len(work)):
-            if i != r and work[i][c]:
+            if i != r and any(work[i][c]):
                 f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+                work[i] = [pair_sub(x, pair_mul(f, y)) for x, y in zip(work[i], work[r])]
         pivots.append(c)
         r += 1
         if r == len(work):
@@ -41,22 +74,22 @@ def rref(rows: Sequence[Sequence[GaussRat]], ncols: int):
 
 
 def oracle_rank(mat: Mat) -> int:
-    reduced, _ = rref([mat.row(i) for i in range(mat.rows)], mat.cols)
+    reduced, _ = rref(_pairs(mat.entries), mat.cols)
     return len(reduced)
 
 
 def oracle_nullspace(mat: Mat) -> list[Vector]:
-    reduced, pivots = rref([mat.row(i) for i in range(mat.rows)], mat.cols)
+    reduced, pivots = rref(_pairs(mat.entries), mat.cols)
     basis = []
     pivot_set = set(pivots)
     for free in range(mat.cols):
         if free in pivot_set:
             continue
-        vec = [ZERO] * mat.cols
-        vec[free] = ONE
+        vec = [_PAIR_ZERO] * mat.cols
+        vec[free] = _PAIR_ONE
         for row, c in zip(reduced, pivots):
-            vec[c] = -row[free]
-        basis.append(tuple(vec))
+            vec[c] = pair_sub(_PAIR_ZERO, row[free])
+        basis.append(tuple(GaussRat(re, im) for re, im in vec))
     return basis
 
 
@@ -64,22 +97,23 @@ def in_span(vectors: Sequence[Vector], target: Vector) -> bool:
     if not vectors:
         return not any(target)
     ncols = len(target)
-    base, _ = rref(list(vectors), ncols)
-    extended, _ = rref(list(vectors) + [list(target)], ncols)
+    base, _ = rref(_pairs(vectors), ncols)
+    extended, _ = rref(_pairs(list(vectors) + [target]), ncols)
     return len(base) == len(extended)
 
 
 def oracle_commutant_dim(gens: Sequence[Mat]) -> int:
     """Nullity of the full (X*G - G*X = 0) system over all n^2 positions."""
     n = gens[0].rows
-    equations: list[list[GaussRat]] = []
+    equations: list[list[Pair]] = []
     for g in gens:
+        ge = _pairs(g.entries)
         for p in range(n):
             for q in range(n):
-                row = [ZERO] * (n * n)
+                row = [_PAIR_ZERO] * (n * n)
                 for t in range(n):
-                    row[p * n + t] += g[t, q]
-                    row[t * n + q] -= g[p, t]
+                    row[p * n + t] = pair_add(row[p * n + t], ge[t][q])
+                    row[t * n + q] = pair_sub(row[t * n + q], ge[p][t])
                 equations.append(row)
     reduced, _ = rref(equations, n * n)
     return n * n - len(reduced)
@@ -99,13 +133,17 @@ def oracle_invariant_line_spaces(rep: Rep) -> list[tuple[int, int]]:
     for i in range(n):
         blocks.setdefault((rep.y1[i, i], rep.y2[i, i]), []).append(i)
     spaces = []
+    s, e = _pairs(rep.s.entries), _pairs(rep.e.entries)
     for sign in (1, -1):
-        shifted = rep.s - Mat.identity(n).scale(GaussRat(sign))
+        shifted = [
+            [(x[0] - sign, x[1]) if p == c else x for c, x in enumerate(row)]
+            for p, row in enumerate(s)
+        ]
         for coords in blocks.values():
             rows = []
             for p in range(n):
-                rows.append([shifted[p, c] for c in coords])
-                rows.append([rep.e[p, c] for c in coords])
+                rows.append([shifted[p][c] for c in coords])
+                rows.append([e[p][c] for c in coords])
             reduced, _ = rref(rows, len(coords))
             dim = len(coords) - len(reduced)
             if dim:

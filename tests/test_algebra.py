@@ -144,6 +144,12 @@ class TestRepCodec:
         with pytest.raises(CodecError):
             rep_from_json([1, 2, 3])
 
+    def test_boolean_sizes(self):
+        data = rep_to_json(build_rep(Seed(0, 1, Mat([], cols=1), (GaussRat(2),))))
+        data["l"] = True
+        with pytest.raises(CodecError, match="non-negative integers"):
+            rep_from_json(data)
+
 
 class TestRepValidation:
     def test_negative_split(self):

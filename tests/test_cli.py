@@ -81,6 +81,26 @@ class TestConstructVerify:
 
 
 class TestInputErrors:
+    def test_boolean_size_exits_2(self, tmp_path):
+        small = Seed(1, 1, Mat([[1]]), (GaussRat(1), GaussRat(2)))
+        for verb, document in (
+            ("construct", seed_to_json(small)),
+            ("verify", rep_to_json(build_rep(small))),
+        ):
+            document["k"] = True
+            path = _write(tmp_path, f"{verb}.json", json.dumps(document))
+            result = runner.invoke(main, [verb, path])
+            assert result.exit_code == 2
+            assert result.stderr == f"{path}: k and l must be non-negative integers\n"
+
+    def test_malformed_rational_exits_2(self, tmp_path):
+        document = seed_to_json(REFERENCE)
+        document["ab"][0] = ["1.5", "0/1"]
+        path = _write(tmp_path, "seed.json", json.dumps(document))
+        result = runner.invoke(main, ["construct", path])
+        assert result.exit_code == 2
+        assert result.stderr.startswith(f"{path}: bad rational in ['1.5', '0/1']")
+
     def test_json_syntax_error_carries_position(self, tmp_path):
         path = _write(tmp_path, "bad.json", '{\n"k": 1\n"l": 2}')
         result = runner.invoke(main, ["construct", path])

@@ -28,7 +28,17 @@ from periplectic import (
 from periplectic.linalg import kernel_and_pivots, row_basis
 from periplectic.sampling import random_matrix
 
-from oracles import in_span, oracle_commutant_dim, oracle_nullspace, oracle_rank
+from oracles import (
+    in_span,
+    oracle_commutant_dim,
+    oracle_nullspace,
+    oracle_rank,
+    pair_add,
+    pair_inverse,
+    pair_mul,
+    pair_sub,
+    to_pair,
+)
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 scalars = st.builds(GaussRat, fractions, fractions)
@@ -60,6 +70,21 @@ class TestGaussRat:
         assert I**3 == -I
         assert I**0 == ONE
         assert q(2) ** -2 == q("1/4")
+
+    def test_pow_squares_and_multiplies(self, monkeypatch):
+        calls = []
+        mul = GaussRat.__mul__
+
+        def counted(self, other):
+            calls.append(1)
+            return mul(self, other)
+
+        monkeypatch.setattr(GaussRat, "__mul__", counted)
+        # (1 + i)^4 = -4, so (1 + i)^-20000 = 4^-5000
+        assert q(1, 1) ** -20000 == GaussRat(Fraction(1, 4**5000))
+        # one squaring and at most one product per bit of the exponent,
+        # against 20000 products for repeated multiplication
+        assert len(calls) <= 2 * (20000).bit_length()
 
     def test_zero_division(self):
         with pytest.raises(ZeroDivisionError):
@@ -104,6 +129,83 @@ class TestGaussRat:
         assert (a < b) + (a == b) + (b < a) == 1
 
 
+def pair_str(x) -> str:
+    re, im = x
+    if not im:
+        return str(re)
+    imag = "i" if abs(im) == 1 else f"{abs(im)}i"
+    if not re:
+        return imag if im > 0 else f"-{imag}"
+    return f"{re}{'+' if im > 0 else '-'}{imag}"
+
+
+# small denominators repeat often enough to reach the equal-denominator paths
+wide_fractions = st.one_of(
+    st.fractions(min_value=-10, max_value=10, max_denominator=6), st.fractions()
+)
+pairs = st.tuples(wide_fractions, wide_fractions)
+
+
+class TestAgainstFractionPairs:
+    """GaussRat checked against arithmetic on (re, im) pairs of Fractions."""
+
+    @given(pairs, pairs)
+    def test_field_operations(self, x, y):
+        gx, gy = GaussRat(*x), GaussRat(*y)
+        assert isinstance(gx.re, Fraction) and isinstance(gx.im, Fraction)
+        assert to_pair(gx) == x
+        assert to_pair(gx + gy) == pair_add(x, y)
+        assert to_pair(gx - gy) == pair_sub(x, y)
+        assert to_pair(gx * gy) == pair_mul(x, y)
+        assert to_pair(gx.conjugate()) == (x[0], -x[1])
+        assert to_pair(-gx) == (-x[0], -x[1])
+        if any(y):
+            assert to_pair(gy.inverse()) == pair_inverse(y)
+            assert to_pair(gx / gy) == pair_mul(x, pair_inverse(y))
+
+    @given(pairs, pairs)
+    def test_comparison_hash_and_text(self, x, y):
+        gx, gy = GaussRat(*x), GaussRat(*y)
+        assert (gx == gy) == (x == y)
+        assert (gx < gy) == (x < y)
+        assert (gx <= gy) == (x <= y)
+        assert (gx > gy) == (x > y)
+        assert str(gx) == pair_str(x)
+        assert gauss_to_json(gx) == [f"{f.numerator}/{f.denominator}" for f in x]
+
+    @given(pairs, st.integers(min_value=2, max_value=5))
+    def test_equal_values_built_differently(self, x, m):
+        a = GaussRat(*x)
+        scaled = [f"{f.numerator * m}/{f.denominator * m}" for f in x]
+        b = GaussRat(scaled[0], Fraction(-x[1].numerator * m, -x[1].denominator * m))
+        c = gauss_from_json(scaled)
+        assert a == b == c and hash(a) == hash(b) == hash(c)
+        assert a != x and a != GaussRat(x[0] + 1, x[1])
+
+    def test_equal_values_examples(self):
+        assert GaussRat("2/4") == GaussRat(Fraction(1, 2))
+        assert hash(GaussRat("2/4")) == hash(GaussRat(Fraction(1, 2)))
+        assert GaussRat(3) != 3
+        assert GaussRat(Fraction(1, 2)) != Fraction(1, 2)
+
+    @given(wide_fractions, st.floats())
+    def test_floats_rejected_in_either_part(self, exact, inexact):
+        with pytest.raises(TypeError):
+            GaussRat(inexact, exact)
+        with pytest.raises(TypeError):
+            GaussRat(exact, inexact)
+
+    def test_immutable(self):
+        x = q(1, 2)
+        with pytest.raises(AttributeError):
+            x.re = Fraction(3)
+        with pytest.raises(AttributeError):
+            x.extra = 3
+        with pytest.raises(AttributeError):
+            del x.im
+        assert x == q(1, 2)
+
+
 class TestAsGauss:
     def test_coercions(self):
         assert as_gauss(5) == q(5)
@@ -123,6 +225,8 @@ class TestGaussCodec:
         assert gauss_to_json(q("1/2", -3)) == ["1/2", "-3/1"]
         assert gauss_to_json(ZERO) == ["0/1", "0/1"]
         assert gauss_from_json(["2/4", "0/1"]) == q("1/2")
+        assert gauss_from_json(["5", "-3/7"]) == q(5, "-3/7")
+        assert gauss_from_json(["-0", "006/004"]) == q(0, "3/2")
 
     @given(scalars)
     def test_round_trip(self, x):
@@ -130,7 +234,13 @@ class TestGaussCodec:
 
     @pytest.mark.parametrize(
         "bad",
-        ["1/2", ["1/2"], ["1/2", "1/3", "0/1"], [1, 2], ["1/0", "0/1"], ["ham", "0/1"]],
+        [
+            "1/2", ["1/2"], ["1/2", "1/3", "0/1"], [1, 2], ["1/0", "0/1"], ["ham", "0/1"],
+            # only -?[0-9]+(/[0-9]+)? in each part
+            ["1.5", "0"], ["0", "2e3"], ["1e20000", "0"], ["+1", "0"], [" 1", "0"],
+            ["0", "1/0"], ["1 ", "0"], ["1/-2", "0"], ["1_000", "0"], ["\u0661", "0"],
+            ["1/2\n", "0"], ["", "0"], ["-", "0"], ["1/", "0"],
+        ],
     )
     def test_malformed_input(self, bad):
         with pytest.raises(CodecError):

@@ -196,6 +196,8 @@ class TestSeedCodec:
             lambda d: d.update(k="3"),
             lambda d: d.update(ab=d["ab"][:-1]),
             lambda d: d.update(S=[]),
+            lambda d: d.update(k=True),
+            lambda d: d.update(l=False),
         ],
     )
     def test_malformed_input(self, mutate):
