@@ -88,10 +88,12 @@ class RelationReport:
 
 
 def _first_mismatch(lhs: Mat, rhs: Mat) -> tuple[tuple[int, int], GaussRat, GaussRat] | None:
-    for i in range(lhs.rows):
-        for j in range(lhs.cols):
-            if lhs[i, j] != rhs[i, j]:
-                return (i, j), lhs[i, j], rhs[i, j]
+    for i, (lrow, rrow) in enumerate(zip(lhs.entries, rhs.entries)):
+        if lrow == rrow:
+            continue
+        for j, (a, b) in enumerate(zip(lrow, rrow)):
+            if a != b:
+                return (i, j), a, b
     return None
 
 

@@ -32,7 +32,7 @@ from .linalg import (
     row_basis,
 )
 from .reps import Seed, build_rep
-from .rhizome import analyze, bipartite_components, scaling_normalize
+from .rhizome import _tree_gauge, analyze, bipartite_components
 
 __all__ = [
     "INDECOMPOSABLE",
@@ -202,32 +202,58 @@ def _embed(vec: Sequence[GaussRat], n: int, offset: int) -> Vector:
     return tuple(out)
 
 
+def _coordinate_index(vec: Vector) -> int | None:
+    """The position of the only nonzero entry of vec, or None."""
+    support = [t for t, x in enumerate(vec) if x]
+    return support[0] if len(support) == 1 else None
+
+
 def _check_split(
     rep: Rep, witness: tuple[tuple[Vector, ...], tuple[Vector, ...]]
 ) -> None:
     """Verify that the two vector families span complementary invariant
-    subspaces; raises when they do not."""
+    subspaces; raises when they do not.
+
+    When every vector is a nonzero multiple of a unit vector, no elimination
+    runs: the parts are complementary when their coordinates partition
+    range(n), and a part is invariant when every generator's block from its
+    coordinates into the other part's is zero.  Otherwise one rank checks
+    complementarity, and for each part one rank checks independence and one
+    more, of the part stacked with its images under all four generators (a
+    single Mat product), checks invariance.  Messages come in the same order
+    either way: not complementary, then dependent, then not preserved.
+    """
     part1, part2 = witness
     n = rep.dim
     if not part1 or not part2:
         raise PreconditionError("split witness must have two nonzero parts")
     if len(part1) + len(part2) != n:
         raise PreconditionError("split witness does not have full dimension")
-    stacked = Mat(list(part1) + list(part2), cols=n)
-    if rank(stacked) != n:
+    moved = "claimed invariant subspace is not preserved by the generators"
+    coords = [[_coordinate_index(v) for v in part] for part in witness]
+    every = coords[0] + coords[1]
+    if None not in every:
+        if len(set(every)) != n:
+            raise PreconditionError("split witness vectors are not complementary")
+        for inside, outside in (coords, coords[::-1]):
+            for m in rep.generators():
+                if any(m[p, q] for p in outside for q in inside):
+                    raise PreconditionError(moved)
+        return
+    if rank(Mat(list(part1) + list(part2), cols=n)) != n:
         raise PreconditionError("split witness vectors are not complementary")
+    # row t of part * gens_t is (y1 v, y2 v, s v, e v) for the t-th vector v
+    gens_t = Mat.block([[m.transpose() for m in rep.generators()]])
     for part in (part1, part2):
         space = Mat(list(part), cols=n)
         r = rank(space)
         if r != len(part):
             raise PreconditionError("split witness vectors are dependent")
-        for m in rep.generators():
-            for v in part:
-                image = m.apply(v)
-                if rank(Mat(list(part) + [image], cols=n)) != r:
-                    raise PreconditionError(
-                        "claimed invariant subspace is not preserved by the generators"
-                    )
+        images = [
+            row[g * n : (g + 1) * n] for row in (space * gens_t).entries for g in range(4)
+        ]
+        if rank(Mat._trusted(list(space.entries) + images, n)) != r:
+            raise PreconditionError(moved)
 
 
 def _component_witness(
@@ -370,23 +396,29 @@ def canonical_form(seed: Seed) -> CanonicalForm:
     """Canonical representative of the monomial-pair orbit of a regular
     rhizomatic seed: sort each shift group ascending, permute the coupling
     along, then normalize the scalings along a spanning tree."""
-    k, l = seed.k, seed.l
-    if not is_regular(seed.eigenvalues, k, l):
+    if not is_regular(seed.eigenvalues, seed.k, seed.l):
         raise PreconditionError("canonical form needs regular shifts")
     if not analyze(seed.coupling).is_rhizomatic:
         raise PreconditionError("canonical form needs a rhizomatic coupling")
+    return _canonical_form(seed)
+
+
+def _canonical_form(seed: Seed) -> CanonicalForm:
+    """canonical_form for a seed already known to be regular and rhizomatic."""
+    k, l = seed.k, seed.l
     sigma = tuple(sorted(range(k), key=lambda i: seed.a[i]))
     tau = tuple(sorted(range(l), key=lambda j: seed.b[j]))
     sorter = MonomialPair(sigma, (ONE,) * k, tau, (ONE,) * l)
     sorted_seed = group_act(sorter, seed)
-    norm = scaling_normalize(sorted_seed.coupling)
+    norm = _tree_gauge(sorted_seed.coupling)
     return CanonicalForm(sorted_seed.eigenvalues, norm.normalized)
 
 
 def isomorphic(seed1: Seed, seed2: Seed) -> bool:
     """Equality of canonical forms; requires both seeds regular and rhizomatic.
 
-    Seeds with different weight space dimensions are never isomorphic.
+    Seeds with different weight space dimensions are never isomorphic.  Each
+    coupling is analyzed once, here; the canonical forms skip the re-check.
     """
     if (seed1.k, seed1.l) != (seed2.k, seed2.l):
         return False
@@ -398,7 +430,7 @@ def isomorphic(seed1: Seed, seed2: Seed) -> bool:
                 "isomorphism testing needs regular rhizomatic seeds on both sides; "
                 "compare endo_report output instead"
             )
-    return canonical_form(seed1) == canonical_form(seed2)
+    return _canonical_form(seed1) == _canonical_form(seed2)
 
 
 @dataclass(frozen=True, slots=True)

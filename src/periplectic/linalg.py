@@ -9,12 +9,13 @@ never need a tolerance.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from functools import total_ordering
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
-from .errors import CodecError, ShapeError
+from .errors import CodecError, PreconditionError, ShapeError
 
 __all__ = [
     "GaussRat",
@@ -247,6 +248,14 @@ ONE = _make(1, 0, 1)
 I = _make(0, 1, 1)
 
 
+def _dense(row: Mapping[int, GaussRat], ncols: int) -> tuple[GaussRat, ...]:
+    """Dense row of width ncols from a {column: entry} dict."""
+    out = [ZERO] * ncols
+    for j, x in row.items():
+        out[j] = x
+    return tuple(out)
+
+
 def _fraction_str(num: int, den: int) -> str:
     # lowest terms, and the denominator is always written, so emission is
     # canonical byte for byte
@@ -255,8 +264,18 @@ def _fraction_str(num: int, den: int) -> str:
 
 
 def gauss_to_json(x: GaussRat) -> list[str]:
-    """Serialize as a 2-element array of rational strings, e.g. ["1/2", "-3/1"]."""
-    return [_fraction_str(x._a, x._d), _fraction_str(x._b, x._d)]
+    """Serialize as a 2-element array of rational strings, e.g. ["1/2", "-3/1"].
+
+    A part too long for the interpreter's int-to-str limit raises
+    PreconditionError.
+    """
+    try:
+        return [_fraction_str(x._a, x._d), _fraction_str(x._b, x._d)]
+    except ValueError:
+        raise PreconditionError(
+            "cannot write a rational with more than "
+            f"{sys.get_int_max_str_digits()} decimal digits in one part"
+        ) from None
 
 
 # the wire format of one part: an optional minus sign, decimal digits, and
@@ -404,7 +423,10 @@ class Mat:
         return hash((self.shape, self.entries))
 
     def __neg__(self) -> "Mat":
-        return Mat._trusted([[-x for x in row] for row in self.entries], self.cols)
+        return Mat._trusted(
+            [[x if x is ZERO or not x else -x for x in row] for row in self.entries],
+            self.cols,
+        )
 
     def __add__(self, other: "Mat") -> "Mat":
         if not isinstance(other, Mat):
@@ -413,7 +435,10 @@ class Mat:
             raise ShapeError(f"cannot add {self.shape} and {other.shape}")
         return Mat._trusted(
             [
-                [a + b for a, b in zip(ra, rb)]
+                [
+                    b if a is ZERO or not a else a if b is ZERO or not b else a + b
+                    for a, b in zip(ra, rb)
+                ]
                 for ra, rb in zip(self.entries, other.entries)
             ],
             self.cols,
@@ -443,19 +468,30 @@ class Mat:
         return Mat._trusted([[c * x for x in row] for row in self.entries], self.cols)
 
     def _matmul(self, other: "Mat") -> "Mat":
+        """Product that walks only nonzero entries.
+
+        The nonzero (column, entry) pairs of each right row are listed once;
+        each output row then sums, in a dict, the products of its left row's
+        nonzero entries with those pairs.  Most matrices here are diagonal
+        or block sparse, and most of their zeros are the shared ZERO, which
+        an identity test skips without calling __bool__.
+        """
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
-        out = [[ZERO] * other.cols for _ in range(self.rows)]
-        for i, arow in enumerate(self.entries):
-            orow = out[i]
+        right = [
+            [(j, b) for j, b in enumerate(row) if b is not ZERO and b]
+            for row in other.entries
+        ]
+        out = []
+        for arow in self.entries:
+            acc: dict[int, GaussRat] = {}
             for p, a in enumerate(arow):
-                if not a:
+                if a is ZERO or not a:
                     continue
-                # skipping zero operands matters: most matrices here are
-                # diagonal or block sparse and suites multiply thousands
-                for j, b in enumerate(other.entries[p]):
-                    if b:
-                        orow[j] = orow[j] + a * b
+                for j, b in right[p]:
+                    v = acc.get(j)
+                    acc[j] = a * b if v is None else v + a * b
+            out.append(_dense(acc, other.cols))
         return Mat._trusted(out, other.cols)
 
     def apply(self, vector: Sequence[GaussRat]) -> tuple[GaussRat, ...]:
@@ -520,46 +556,64 @@ def mat_from_json(data: object, *, rows: int, cols: int) -> Mat:
 
 
 def _echelon(
-    rows: list[list[GaussRat]], ncols: int
-) -> tuple[list[list[GaussRat]], list[int]]:
-    """Forward elimination in place; returns (rows, pivot columns).
+    rows: Iterable[Sequence[GaussRat]], ncols: int
+) -> tuple[list[dict[int, GaussRat]], list[int]]:
+    """Forward elimination over sparse rows; returns (pivot rows, pivot columns).
 
-    The pivot for each column is the first remaining row with a nonzero
-    entry there, so the result is deterministic.  Every later row whose
-    entry in the pivot column (its factor) is nonzero becomes
-    (pivot * row - factor * pivot_row) / previous pivot; rows whose factor
-    is zero are left as they are, not rescaled.  This is Bareiss's update
-    formula, but each step is an exact division in Q(i), so it is not
-    fraction-free and entries are reduced Gaussian rationals.
+    Each row is held as a {column: entry} dict of its nonzero entries.  The
+    pivot for each column is the first remaining row with a nonzero entry
+    there, swapped into place, so the result is deterministic.  (Zero rows
+    stay in the list: a swap moves the row it displaces, so dropping them
+    would change later pivot choices.)  Every later row whose entry in the
+    pivot column (its factor) is nonzero becomes
+    (pivot * row - factor * pivot_row) / previous pivot, evaluated only at
+    the columns where the row or the pivot row is nonzero; rows whose
+    factor is zero are left as they are, not rescaled.  This is Bareiss's
+    update formula, but each step is an exact division in Q(i), so it is
+    not fraction-free and entries are reduced Gaussian rationals.
+
+    The returned dicts are the rows that became pivots, in order, as they
+    stood when they did; every remaining row is zero at the end.
     """
-    m = len(rows)
-    r = 0
+    work = [{j: x for j, x in enumerate(row) if x is not ZERO and x} for row in rows]
+    # every remaining row is zero left of the current column, so the next
+    # pivot column is the smallest leading column among them; a zero row
+    # leads at ncols
+    leads = [min(row) if row else ncols for row in work]
+    m = len(work)
     prev = ONE
     pivots: list[int] = []
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, m):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        piv = rows[r][c]
+    for r in range(m):
+        c = min(leads[r:])
+        if c == ncols:
+            break
+        p = leads.index(c, r)
+        if p != r:
+            work[r], work[p] = work[p], work[r]
+            leads[r], leads[p] = leads[p], leads[r]
+        rr = work[r]
+        piv = rr[c]
         for i in range(r + 1, m):
-            fac = rows[i][c]
-            if not fac:
+            if leads[i] != c:
                 continue
-            ri, rr = rows[i], rows[r]
-            for j in range(c, ncols):
-                ri[j] = (piv * ri[j] - fac * rr[j]) / prev
+            ri = work[i]
+            fac = ri[c]
+            out: dict[int, GaussRat] = {}
+            for j, x in ri.items():
+                if j == c:
+                    continue
+                y = rr.get(j)
+                v = piv * x if y is None else piv * x - fac * y
+                if v:
+                    out[j] = v / prev
+            for j, y in rr.items():
+                if j != c and j not in ri:
+                    out[j] = -(fac * y) / prev
+            work[i] = out
+            leads[i] = min(out) if out else ncols
         pivots.append(c)
         prev = piv
-        r += 1
-        if r == m:
-            break
-    return rows, pivots
+    return work[: len(pivots)], pivots
 
 
 def kernel_and_pivots(
@@ -568,26 +622,30 @@ def kernel_and_pivots(
     """Exact right null space basis plus the pivot columns of the elimination.
 
     One basis vector per free column, in column order; the basis is empty
-    exactly when the matrix is injective.
+    exactly when the matrix is injective.  Back substitution walks only the
+    nonzero entries of each pivot row.
     """
-    rows = [list(r) for r in mat.entries]
-    ech, pivots = _echelon(rows, mat.cols)
+    ech, pivots = _echelon(mat.entries, mat.cols)
     pivot_set = set(pivots)
+    # (pivot column, pivot entry, the rest of the row), last pivot first
+    steps = [
+        (c, row[c], [(j, a) for j, a in row.items() if j != c])
+        for c, row in zip(reversed(pivots), reversed(ech))
+    ]
     basis = []
     for free_col in range(mat.cols):
         if free_col in pivot_set:
             continue
-        x: list[GaussRat] = [ZERO] * mat.cols
-        x[free_col] = ONE
-        for idx in range(len(pivots) - 1, -1, -1):
-            c = pivots[idx]
-            row = ech[idx]
+        x: dict[int, GaussRat] = {free_col: ONE}
+        for c, piv, rest in steps:
             acc = ZERO
-            for j in range(c + 1, mat.cols):
-                if row[j] and x[j]:
-                    acc = acc + row[j] * x[j]
-            x[c] = -acc / row[c]
-        basis.append(tuple(x))
+            for j, a in rest:
+                v = x.get(j)
+                if v is not None:
+                    acc = acc + a * v
+            if acc:
+                x[c] = -acc / piv
+        basis.append(_dense(x, mat.cols))
     return basis, pivots
 
 
@@ -597,14 +655,12 @@ def kernel_basis(mat: Mat) -> list[tuple[GaussRat, ...]]:
 
 def row_basis(mat: Mat) -> tuple[list[tuple[GaussRat, ...]], list[int]]:
     """Echelon basis of the row space plus the leading column of each basis row."""
-    rows = [list(r) for r in mat.entries]
-    ech, pivots = _echelon(rows, mat.cols)
-    return [tuple(ech[i]) for i in range(len(pivots))], pivots
+    ech, pivots = _echelon(mat.entries, mat.cols)
+    return [_dense(row, mat.cols) for row in ech], pivots
 
 
 def rank(mat: Mat) -> int:
-    rows = [list(r) for r in mat.entries]
-    return len(_echelon(rows, mat.cols)[1])
+    return len(_echelon(mat.entries, mat.cols)[1])
 
 
 def commutant_basis(gens: Sequence[Mat]) -> list[Mat]:
@@ -612,8 +668,10 @@ def commutant_basis(gens: Sequence[Mat]) -> list[Mat]:
 
     Diagonal generators are handled by constraint propagation (the commutator
     with diag(d) kills entry (i, j) unless d_i = d_j), so the linear system
-    that reaches the elimination only carries the surviving unknowns.  The
-    result always contains the identity direction.
+    that reaches the elimination only carries the surviving unknowns.  Each
+    equation is assembled from the nonzero entries of one row and one column
+    of a generator, and equations with no nonzero coefficient are dropped.
+    The result always contains the identity direction.
     """
     mats = list(gens)
     if not mats:
@@ -640,25 +698,25 @@ def commutant_basis(gens: Sequence[Mat]) -> list[Mat]:
     positions = [(i, j) for i in range(n) for j in range(n) if free[i][j]]
     index = {pos: t for t, pos in enumerate(positions)}
 
-    rows: list[list[GaussRat]] = []
+    # entry (p, q) of X*g - g*X pairs row p of X with column q of g, and
+    # row p of g with column q of X
+    rows: list[tuple[GaussRat, ...]] = []
     for g in dense:
-        ge = g.entries
+        g_rows = [[(i, x) for i, x in enumerate(row) if x] for row in g.entries]
+        g_cols = [[(j, x) for j, x in enumerate(col) if x] for col in zip(*g.entries)]
         for p in range(n):
             for q in range(n):
                 coeffs: dict[int, GaussRat] = {}
-                for j in range(n):
-                    if free[p][j] and ge[j][q]:
+                for j, x in g_cols[q]:
+                    if free[p][j]:
                         t = index[(p, j)]
-                        coeffs[t] = coeffs.get(t, ZERO) + ge[j][q]
-                for i in range(n):
-                    if free[i][q] and ge[p][i]:
+                        coeffs[t] = coeffs[t] + x if t in coeffs else x
+                for i, x in g_rows[p]:
+                    if free[i][q]:
                         t = index[(i, q)]
-                        coeffs[t] = coeffs.get(t, ZERO) - ge[p][i]
+                        coeffs[t] = coeffs[t] - x if t in coeffs else -x
                 if any(coeffs.values()):
-                    row = [ZERO] * len(positions)
-                    for t, v in coeffs.items():
-                        row[t] = v
-                    rows.append(row)
+                    rows.append(_dense(coeffs, len(positions)))
 
     vectors = kernel_basis(Mat._trusted(rows, len(positions)))
     out = []

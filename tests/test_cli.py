@@ -101,6 +101,20 @@ class TestInputErrors:
         assert result.exit_code == 2
         assert result.stderr.startswith(f"{path}: bad rational in ['1.5', '0/1']")
 
+    def test_oversized_output_exits_3(self, tmp_path):
+        # each part parses, but e holds their 8,000-digit product, past the
+        # interpreter's int-to-str limit
+        huge = ["9" * 4000, "0/1"]
+        document = {"k": 1, "l": 1, "S": [[huge]], "ab": [huge, ["0/1", "0/1"]]}
+        path = _write(tmp_path, "seed.json", json.dumps(document))
+        result = runner.invoke(main, ["construct", path])
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        assert result.stderr.count("\n") == 1
+        assert "decimal digits" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_json_syntax_error_carries_position(self, tmp_path):
         path = _write(tmp_path, "bad.json", '{\n"k": 1\n"l": 2}')
         result = runner.invoke(main, ["construct", path])
