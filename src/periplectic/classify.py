@@ -32,7 +32,7 @@ from .linalg import (
     row_basis,
 )
 from .reps import Seed, build_rep
-from .rhizome import _tree_gauge, analyze, bipartite_components
+from .rhizome import analyze, bipartite_components, scaling_normalize
 
 __all__ = [
     "INDECOMPOSABLE",
@@ -214,14 +214,14 @@ def _check_split(
     """Verify that the two vector families span complementary invariant
     subspaces; raises when they do not.
 
-    When every vector is a nonzero multiple of a unit vector, no elimination
-    runs: the parts are complementary when their coordinates partition
-    range(n), and a part is invariant when every generator's block from its
-    coordinates into the other part's is zero.  Otherwise one rank checks
-    complementarity, and for each part one rank checks independence and one
-    more, of the part stacked with its images under all four generators (a
-    single Mat product), checks invariance.  Messages come in the same order
-    either way: not complementary, then dependent, then not preserved.
+    When every vector is a nonzero multiple of a unit vector, as in every
+    component witness, no elimination runs: the parts are complementary when
+    their coordinates partition range(n), and a part is invariant when every
+    generator's block from its coordinates into the other part's is zero.
+    Otherwise one rank of the stacked witness checks complementarity (with n
+    vectors in all, rank n also makes each part independent), and for each
+    part one rank of the part stacked with its images under all four
+    generators (a single Mat product) checks invariance.
     """
     part1, part2 = witness
     n = rep.dim
@@ -229,30 +229,28 @@ def _check_split(
         raise PreconditionError("split witness must have two nonzero parts")
     if len(part1) + len(part2) != n:
         raise PreconditionError("split witness does not have full dimension")
+    not_complementary = "split witness vectors are not complementary"
     moved = "claimed invariant subspace is not preserved by the generators"
     coords = [[_coordinate_index(v) for v in part] for part in witness]
     every = coords[0] + coords[1]
     if None not in every:
         if len(set(every)) != n:
-            raise PreconditionError("split witness vectors are not complementary")
+            raise PreconditionError(not_complementary)
         for inside, outside in (coords, coords[::-1]):
             for m in rep.generators():
                 if any(m[p, q] for p in outside for q in inside):
                     raise PreconditionError(moved)
         return
     if rank(Mat(list(part1) + list(part2), cols=n)) != n:
-        raise PreconditionError("split witness vectors are not complementary")
+        raise PreconditionError(not_complementary)
     # row t of part * gens_t is (y1 v, y2 v, s v, e v) for the t-th vector v
     gens_t = Mat.block([[m.transpose() for m in rep.generators()]])
     for part in (part1, part2):
         space = Mat(list(part), cols=n)
-        r = rank(space)
-        if r != len(part):
-            raise PreconditionError("split witness vectors are dependent")
         images = [
             row[g * n : (g + 1) * n] for row in (space * gens_t).entries for g in range(4)
         ]
-        if rank(Mat._trusted(list(space.entries) + images, n)) != r:
+        if rank(Mat._trusted(list(space.entries) + images, n)) != len(part):
             raise PreconditionError(moved)
 
 
@@ -395,42 +393,39 @@ class CanonicalForm:
 def canonical_form(seed: Seed) -> CanonicalForm:
     """Canonical representative of the monomial-pair orbit of a regular
     rhizomatic seed: sort each shift group ascending, permute the coupling
-    along, then normalize the scalings along a spanning tree."""
-    if not is_regular(seed.eigenvalues, seed.k, seed.l):
-        raise PreconditionError("canonical form needs regular shifts")
-    if not analyze(seed.coupling).is_rhizomatic:
-        raise PreconditionError("canonical form needs a rhizomatic coupling")
-    return _canonical_form(seed)
+    along, then normalize the scalings along a spanning tree.
 
-
-def _canonical_form(seed: Seed) -> CanonicalForm:
-    """canonical_form for a seed already known to be regular and rhizomatic."""
+    The coupling is analyzed once, by scaling_normalize; sorting permutes
+    rows and columns and so keeps it rhizomatic or not."""
     k, l = seed.k, seed.l
+    if not is_regular(seed.eigenvalues, k, l):
+        raise PreconditionError("canonical form needs regular shifts")
     sigma = tuple(sorted(range(k), key=lambda i: seed.a[i]))
     tau = tuple(sorted(range(l), key=lambda j: seed.b[j]))
     sorter = MonomialPair(sigma, (ONE,) * k, tau, (ONE,) * l)
     sorted_seed = group_act(sorter, seed)
-    norm = _tree_gauge(sorted_seed.coupling)
+    try:
+        norm = scaling_normalize(sorted_seed.coupling)
+    except PreconditionError:
+        raise PreconditionError("canonical form needs a rhizomatic coupling") from None
     return CanonicalForm(sorted_seed.eigenvalues, norm.normalized)
 
 
 def isomorphic(seed1: Seed, seed2: Seed) -> bool:
     """Equality of canonical forms; requires both seeds regular and rhizomatic.
 
-    Seeds with different weight space dimensions are never isomorphic.  Each
-    coupling is analyzed once, here; the canonical forms skip the re-check.
+    Seeds with different weight space dimensions are never isomorphic.  The
+    preconditions are canonical_form's, so its refusal is reworded here.
     """
     if (seed1.k, seed1.l) != (seed2.k, seed2.l):
         return False
-    for seed in (seed1, seed2):
-        if not is_regular(seed.eigenvalues, seed.k, seed.l) or not analyze(
-            seed.coupling
-        ).is_rhizomatic:
-            raise PreconditionError(
-                "isomorphism testing needs regular rhizomatic seeds on both sides; "
-                "compare endo_report output instead"
-            )
-    return _canonical_form(seed1) == _canonical_form(seed2)
+    try:
+        return canonical_form(seed1) == canonical_form(seed2)
+    except PreconditionError:
+        raise PreconditionError(
+            "isomorphism testing needs regular rhizomatic seeds on both sides; "
+            "compare endo_report output instead"
+        ) from None
 
 
 @dataclass(frozen=True, slots=True)

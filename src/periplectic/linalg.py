@@ -190,13 +190,16 @@ class GaussRat:
 
     def __str__(self) -> str:
         re, im = self.re, self.im
-        if not im:
-            return str(re)
-        imag = "i" if abs(im) == 1 else f"{abs(im)}i"
-        if not re:
-            return imag if im > 0 else f"-{imag}"
-        sign = "+" if im > 0 else "-"
-        return f"{re}{sign}{imag}"
+        try:
+            if not im:
+                return str(re)
+            imag = "i" if abs(im) == 1 else f"{abs(im)}i"
+            if not re:
+                return imag if im > 0 else f"-{imag}"
+            sign = "+" if im > 0 else "-"
+            return f"{re}{sign}{imag}"
+        except ValueError:
+            raise _too_many_digits() from None
 
 
 # GaussRat.__setattr__ refuses every write, so results fill their slots
@@ -267,15 +270,19 @@ def gauss_to_json(x: GaussRat) -> list[str]:
     """Serialize as a 2-element array of rational strings, e.g. ["1/2", "-3/1"].
 
     A part too long for the interpreter's int-to-str limit raises
-    PreconditionError.
+    PreconditionError, as str() does.
     """
     try:
         return [_fraction_str(x._a, x._d), _fraction_str(x._b, x._d)]
     except ValueError:
-        raise PreconditionError(
-            "cannot write a rational with more than "
-            f"{sys.get_int_max_str_digits()} decimal digits in one part"
-        ) from None
+        raise _too_many_digits() from None
+
+
+def _too_many_digits() -> PreconditionError:
+    return PreconditionError(
+        "cannot write a rational with more than "
+        f"{sys.get_int_max_str_digits()} decimal digits in one part"
+    )
 
 
 # the wire format of one part: an optional minus sign, decimal digits, and

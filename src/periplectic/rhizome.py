@@ -162,11 +162,6 @@ def scaling_normalize(matrix: Mat) -> ScalingNormalization:
     """
     if not analyze(matrix).is_rhizomatic:
         raise PreconditionError("scaling normalization needs a rhizomatic matrix")
-    return _tree_gauge(matrix)
-
-
-def _tree_gauge(matrix: Mat) -> ScalingNormalization:
-    """scaling_normalize for a matrix already known to be rhizomatic."""
     k, l = matrix.rows, matrix.cols
     xi: list[GaussRat | None] = [None] * k
     phi: list[GaussRat | None] = [None] * l

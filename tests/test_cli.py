@@ -115,6 +115,23 @@ class TestInputErrors:
         assert "decimal digits" in result.stderr
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_oversized_canonical_exits_3(self, tmp_path, flags):
+        # the off-tree entry of the gauged coupling is 1/(A*B), whose
+        # 8,000-digit denominator is past the int-to-str limit in text and JSON
+        big = ["9" * 4000, "0/1"]
+        one = ["1", "0/1"]
+        shifts = [[str(t), "0/1"] for t in range(4)]
+        document = {"k": 2, "l": 2, "S": [[one, big], [big, one]], "ab": shifts}
+        path = _write(tmp_path, "seed.json", json.dumps(document))
+        result = runner.invoke(main, ["canonical", *flags, path])
+        assert result.exit_code == 3
+        if flags:
+            assert result.stdout == ""
+        assert result.stderr.count("\n") == 1
+        assert "decimal digits" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_json_syntax_error_carries_position(self, tmp_path):
         path = _write(tmp_path, "bad.json", '{\n"k": 1\n"l": 2}')
         result = runner.invoke(main, ["construct", path])

@@ -15,6 +15,7 @@ from click.testing import CliRunner
 from hypothesis import assume, given, settings, strategies as st
 
 import periplectic.classify as classify
+import periplectic.rhizome as rhizome
 from periplectic import (
     GaussRat,
     Mat,
@@ -132,7 +133,7 @@ class TestCheckSplit:
         with pytest.raises(PreconditionError, match=NOT_COMPLEMENTARY):
             _check_split(TWO_BLOCKS, witness)
 
-    def test_zero_vector_is_not_a_coordinate(self):
+    def test_zero_vector_is_not_complementary(self):
         n = TWO_BLOCKS.dim
         witness = ((unit(n, 0), unit(n, 2)), (tuple([ZERO] * n), unit(n, 3)))
         with pytest.raises(PreconditionError, match=NOT_COMPLEMENTARY):
@@ -272,28 +273,43 @@ def test_split_json_bytes_are_pinned(tmp_path):
 
 
 class TestSingleAnalysis:
-    def test_isomorphic_analyzes_each_coupling_once(self, monkeypatch):
+    @pytest.fixture
+    def analyze_calls(self, monkeypatch):
         calls = []
-        analyze = classify.analyze
+        analyze = rhizome.analyze
 
         def counted(matrix):
             calls.append(matrix)
             return analyze(matrix)
 
+        monkeypatch.setattr(rhizome, "analyze", counted)
         monkeypatch.setattr(classify, "analyze", counted)
-        rng = random.Random(5)
-        seed = Seed(3, 2, Mat([[0, 1], [-3, 5], [2, 0]]), (q(0, 2), q(0, -2), q(1), q(-1), q(1)))
-        acted = group_act(random_monomial_pair(rng, 3, 2), seed)
-        assert isomorphic(seed, acted)
-        assert len(calls) == 2
+        return calls
 
-    def test_public_gauges_keep_their_checks(self):
-        with pytest.raises(PreconditionError, match="rhizomatic"):
-            canonical_form(Seed(2, 2, Mat.identity(2), (q(1), q(2), q(3), q(4))))
-        with pytest.raises(PreconditionError, match="regular"):
+    SEED = Seed(3, 2, Mat([[0, 1], [-3, 5], [2, 0]]), (q(0, 2), q(0, -2), q(1), q(-1), q(1)))
+
+    def test_isomorphic_analyzes_each_coupling_once(self, analyze_calls):
+        acted = group_act(random_monomial_pair(random.Random(5), 3, 2), self.SEED)
+        assert isomorphic(self.SEED, acted)
+        assert len(analyze_calls) == 2
+
+    def test_canonical_form_analyzes_once(self, analyze_calls):
+        canonical_form(self.SEED)
+        assert len(analyze_calls) == 1
+
+    def test_messages(self):
+        split = Seed(2, 2, Mat.identity(2), (q(1), q(2), q(3), q(4)))
+        with pytest.raises(PreconditionError, match="^canonical form needs a rhizomatic coupling$"):
+            canonical_form(split)
+        with pytest.raises(PreconditionError, match="^canonical form needs regular shifts$"):
             canonical_form(Seed(2, 1, Mat([[1], [1]]), (q(3), q(3), q(0))))
-        with pytest.raises(PreconditionError, match="rhizomatic"):
+        with pytest.raises(PreconditionError, match="^scaling normalization needs a rhizomatic"):
             scaling_normalize(Mat.identity(2))
+        # two coupling blocks, on either side
+        other = Seed(3, 2, Mat([[1, 0], [0, 1], [1, 0]]), self.SEED.eigenvalues)
+        for pair in ((self.SEED, other), (other, self.SEED)):
+            with pytest.raises(PreconditionError, match="^isomorphism testing needs regular"):
+                isomorphic(*pair)
 
 
 class TestDigitLimit:
@@ -303,7 +319,9 @@ class TestDigitLimit:
         if not limit:
             pytest.skip("the interpreter has no int-to-str limit")
         assert gauss_to_json(GaussRat(10 ** (limit - 1))) == ["1" + "0" * (limit - 1) + "/1", "0/1"]
-        with pytest.raises(PreconditionError) as info:
-            gauss_to_json(GaussRat(0, 10**limit))
-        assert "\n" not in str(info.value)
-        assert str(limit) in str(info.value)
+        for write in (gauss_to_json, str):
+            with pytest.raises(PreconditionError) as info:
+                write(GaussRat(0, 10**limit))
+            assert "\n" not in str(info.value)
+            assert str(limit) in str(info.value)
+        assert str(GaussRat(1, 10 ** (limit - 1))) == "1+1" + "0" * (limit - 1) + "i"
