@@ -16,6 +16,7 @@ from .errors import CodecError, ShapeError
 from .linalg import (
     GaussRat,
     Mat,
+    ZERO,
     as_gauss,
     mat_from_json,
     mat_to_json,
@@ -88,12 +89,12 @@ class RelationReport:
 
 
 def _first_mismatch(lhs: Mat, rhs: Mat) -> tuple[tuple[int, int], GaussRat, GaussRat] | None:
-    for i, (lrow, rrow) in enumerate(zip(lhs.entries, rhs.entries)):
-        if lrow == rrow:
-            continue
-        for j, (a, b) in enumerate(zip(lrow, rrow)):
-            if a != b:
-                return (i, j), a, b
+    for i, (lrow, rrow) in enumerate(zip(lhs.nonzero, rhs.nonzero)):
+        if lrow != rrow:
+            j = min(
+                c for c in lrow.keys() | rrow.keys() if lrow.get(c, ZERO) != rrow.get(c, ZERO)
+            )
+            return (i, j), lrow.get(j, ZERO), rrow.get(j, ZERO)
     return None
 
 

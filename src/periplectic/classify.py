@@ -31,7 +31,7 @@ from .linalg import (
     kernel_and_pivots,
     row_basis,
 )
-from .reps import Seed, build_rep
+from .reps import Seed, build_rep, check_core_shape
 from .rhizome import analyze, bipartite_components, scaling_normalize
 
 __all__ = [
@@ -111,18 +111,10 @@ class MonomialPair:
         return MonomialPair(tuple(sigma_inv), xi_inv, tuple(tau_inv), phi_inv)
 
     def x1_matrix(self) -> Mat:
-        k = len(self.sigma)
-        grid = [[ZERO] * k for _ in range(k)]
-        for i in range(k):
-            grid[i][self.sigma[i]] = self.xi[i]
-        return Mat(grid, cols=k)
+        return Mat._from_rows([{c: x} for c, x in zip(self.sigma, self.xi)], len(self.sigma))
 
     def x2_matrix(self) -> Mat:
-        l = len(self.tau)
-        grid = [[ZERO] * l for _ in range(l)]
-        for j in range(l):
-            grid[j][self.tau[j]] = self.phi[j]
-        return Mat(grid, cols=l)
+        return Mat._from_rows([{c: x} for c, x in zip(self.tau, self.phi)], len(self.tau))
 
     def block_matrix(self) -> Mat:
         return Mat.block_diag([self.x1_matrix(), self.x2_matrix()])
@@ -136,15 +128,17 @@ def group_act(g: MonomialPair, seed: Seed) -> Seed:
         raise ShapeError(
             f"monomial pair sized ({len(g.sigma)},{len(g.tau)}) against seed ({k},{l})"
         )
-    coupling = Mat(
+    # entry (i, j) is xi_i * coupling[sigma(i), tau(j)] / phi_j
+    column_of = {q: j for j, q in enumerate(g.tau)}
+    coupling = Mat._from_rows(
         [
-            [
-                g.xi[i] * seed.coupling[g.sigma[i], g.tau[j]] / g.phi[j]
-                for j in range(l)
-            ]
+            {
+                column_of[q]: g.xi[i] * x / g.phi[column_of[q]]
+                for q, x in seed.coupling.nonzero[g.sigma[i]].items()
+            }
             for i in range(k)
         ],
-        cols=l,
+        l,
     )
     eigenvalues = tuple(seed.a[g.sigma[i]] for i in range(k)) + tuple(
         seed.b[g.tau[j]] for j in range(l)
@@ -237,8 +231,9 @@ def _check_split(
         if len(set(every)) != n:
             raise PreconditionError(not_complementary)
         for inside, outside in (coords, coords[::-1]):
+            inside_set = set(inside)
             for m in rep.generators():
-                if any(m[p, q] for p in outside for q in inside):
+                if any(not inside_set.isdisjoint(m.nonzero[p]) for p in outside):
                     raise PreconditionError(moved)
         return
     if rank(Mat(list(part1) + list(part2), cols=n)) != n:
@@ -247,10 +242,14 @@ def _check_split(
     gens_t = Mat.block([[m.transpose() for m in rep.generators()]])
     for part in (part1, part2):
         space = Mat(list(part), cols=n)
-        images = [
-            row[g * n : (g + 1) * n] for row in (space * gens_t).entries for g in range(4)
-        ]
-        if rank(Mat._trusted(list(space.entries) + images, n)) != len(part):
+        rows = list(space.nonzero)
+        for row in (space * gens_t).nonzero:
+            images: list[dict[int, GaussRat]] = [{} for _ in range(4)]
+            for j, x in row.items():
+                g, c = divmod(j, n)
+                images[g][c] = x
+            rows.extend(images)
+        if rank(Mat._from_rows(rows, n)) != len(part):
             raise PreconditionError(moved)
 
 
@@ -479,21 +478,23 @@ def split_weight_blocks(rep: Rep) -> tuple[WeightBlockPartition, Rep, Rep | None
         for key in block_keys
     ]
 
-    for p in range(n):
-        for q in range(n):
-            if rep.e[p, q] and not (d[p] == ONE and d[q] == _MINUS_ONE):
+    # row-major scan of the positions where e or s is nonzero, plus the
+    # diagonal of s
+    for p, (e_row, s_row) in enumerate(zip(rep.e.nonzero, rep.s.nonzero)):
+        for q in sorted(e_row.keys() | s_row.keys() | {p}):
+            if q in e_row and not (d[p] == ONE and d[q] == _MINUS_ONE):
                 raise PreconditionError(
-                    f"e has entry {rep.e[p, q]} at {(p, q)} outside the (+1,-1) corner"
+                    f"e has entry {e_row[q]} at {(p, q)} outside the (+1,-1) corner"
                 )
             if p == q:
                 expected = -d[p].inverse()
-                if rep.s[p, p] != expected:
+                if s_row.get(p, ZERO) != expected:
                     raise PreconditionError(
-                        f"s diagonal at {p} is {rep.s[p, p]}, expected {expected}"
+                        f"s diagonal at {p} is {s_row.get(p, ZERO)}, expected {expected}"
                     )
-            elif rep.s[p, q] and d[p] != -d[q]:
+            elif q in s_row and d[p] != -d[q]:
                 raise PreconditionError(
-                    f"s has entry {rep.s[p, q]} at {(p, q)} between unpaired weights"
+                    f"s has entry {s_row[q]} at {(p, q)} between unpaired weights"
                 )
 
     partition = WeightBlockPartition(tuple(plus), tuple(minus), tuple(blocks))
@@ -531,30 +532,14 @@ def split_core(rep: Rep) -> Verdict:
     """
     if not rep.is_calibrated:
         raise PreconditionError("core splitting needs diagonal y1 and y2")
+    k = check_core_shape(rep, "not in core shape")
     n = rep.dim
-    d = [rep.y1[i, i] - rep.y2[i, i] for i in range(n)]
-    k = 0
-    while k < n and d[k] == ONE:
-        k += 1
     l = n - k
-    if any(d[i] != _MINUS_ONE for i in range(k, n)):
-        raise PreconditionError(
-            "not in core shape: y1 - y2 must be +1s followed by -1s"
-        )
-    if (k, l) != (rep.k, rep.l):
-        raise PreconditionError(
-            f"declared split ({rep.k},{rep.l}) does not match weights ({k},{l})"
-        )
-    for i in range(k):
-        for j in range(k):
-            expected = _MINUS_ONE if i == j else ZERO
-            if rep.s[i, j] != expected:
-                raise PreconditionError("upper-left block of s is not -identity")
-    for i in range(l):
-        for j in range(l):
-            expected = ONE if i == j else ZERO
-            if rep.s[k + i, k + j] != expected:
-                raise PreconditionError("lower-right block of s is not the identity")
+    s_rows = rep.s.nonzero
+    if any({j: x for j, x in s_rows[i].items() if j < k} != {i: _MINUS_ONE} for i in range(k)):
+        raise PreconditionError("upper-left block of s is not -identity")
+    if any({j: x for j, x in s_rows[i].items() if j >= k} != {i: ONE} for i in range(k, n)):
+        raise PreconditionError("lower-right block of s is not the identity")
 
     lower = rep.s.submatrix(range(k, n), range(k))
     upper = rep.s.submatrix(range(k), range(k, n))

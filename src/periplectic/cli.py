@@ -99,6 +99,12 @@ def _dump(document: object) -> None:
     click.echo(json.dumps(document, indent=2))
 
 
+def _echo_lines(lines: list[str]) -> None:
+    """Write text output in one piece, once every line has been formatted,
+    so an error while formatting leaves stdout empty."""
+    click.echo("\n".join(lines))
+
+
 @click.group()
 def main() -> None:
     """Exact construction and classification of calibrated two-strand modules."""
@@ -137,12 +143,14 @@ def verify(rep_file: str, as_json: bool) -> None:
         )
     else:
         failed = {v.relation: v for v in report.violations}
+        lines = []
         for name in report.checked:
             if name in failed:
                 v = failed[name]
-                click.echo(f"FAIL {name}  at {v.position}: {v.lhs} != {v.rhs}")
+                lines.append(f"FAIL {name}  at {v.position}: {v.lhs} != {v.rhs}")
             else:
-                click.echo(f"ok   {name}")
+                lines.append(f"ok   {name}")
+        _echo_lines(lines)
     sys.exit(0 if report.passed else 1)
 
 
@@ -230,10 +238,9 @@ def canonical(seed_file: str, as_json: bool) -> None:
     if as_json:
         _dump(canonical_to_json(form))
     else:
-        click.echo("ab: " + " ".join(str(x) for x in form.eigenvalues))
-        click.echo("S:")
-        for i in range(form.coupling.rows):
-            click.echo("  " + " ".join(str(x) for x in form.coupling.row(i)))
+        lines = ["ab: " + " ".join(str(x) for x in form.eigenvalues), "S:"]
+        lines += ["  " + " ".join(str(x) for x in row) for row in form.coupling.entries]
+        _echo_lines(lines)
 
 
 @main.command(name="isomorphic")
@@ -283,18 +290,21 @@ def split(rep_file: str, as_json: bool) -> None:
             }
         )
     else:
-        click.echo("plus_block: " + " ".join(map(str, partition.plus_block)))
-        click.echo("minus_block: " + " ".join(map(str, partition.minus_block)))
+        lines = [
+            "plus_block: " + " ".join(map(str, partition.plus_block)),
+            "minus_block: " + " ".join(map(str, partition.minus_block)),
+        ]
         if partition.other_blocks:
             for d, bp, bm in partition.other_blocks:
                 plus = " ".join(map(str, bp))
                 minus = " ".join(map(str, bm))
-                click.echo(f"paired block d={d}: plus [{plus}] minus [{minus}]")
+                lines.append(f"paired block d={d}: plus [{plus}] minus [{minus}]")
         else:
-            click.echo("paired blocks: none")
-        click.echo(f"core: dimension {core.dim} ({core.k} + {core.l})")
-        click.echo(f"rest: {'none' if rest is None else f'dimension {rest.dim}'}")
-        click.echo(f"core_split: {core_verdict.value} ({core_verdict.reason})")
+            lines.append("paired blocks: none")
+        lines.append(f"core: dimension {core.dim} ({core.k} + {core.l})")
+        lines.append(f"rest: {'none' if rest is None else f'dimension {rest.dim}'}")
+        lines.append(f"core_split: {core_verdict.value} ({core_verdict.reason})")
+        _echo_lines(lines)
 
 
 def _fuzz_trial(rng: random.Random, kmax: int, lmax: int) -> list[str]:

@@ -8,6 +8,7 @@ never need a tolerance.
 
 from __future__ import annotations
 
+import operator
 import re
 import sys
 from fractions import Fraction
@@ -317,20 +318,27 @@ def gauss_from_json(data: object) -> GaussRat:
 
 
 class Mat:
-    """Dense immutable matrix over GaussRat.
+    """Immutable matrix over GaussRat, stored as its nonzero entries.
+
+    `nonzero` holds one {column: entry} dict per row, listing the row's
+    nonzero entries in no particular key order; no stored row holds a
+    zero, so equal matrices store equal rows.  The dicts are shared between
+    matrices and never written after construction.  Every kernel here walks
+    them, so a product, a sum or an elimination pays for the nonzero
+    entries only; `entries` builds the dense grid on demand.
 
     `cols` must be passed explicitly when `entries` has no rows, since the
     width cannot be inferred from an empty grid.
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "nonzero")
 
     rows: int
     cols: int
-    entries: tuple[tuple[GaussRat, ...], ...]
+    nonzero: tuple[dict[int, GaussRat], ...]
 
     def __init__(self, entries: Iterable[Iterable[object]], *, cols: int | None = None):
-        grid = tuple(tuple(as_gauss(x) for x in row) for row in entries)
+        grid = [[as_gauss(x) for x in row] for row in entries]
         if grid:
             width = len(grid[0])
             if any(len(row) != width for row in grid):
@@ -341,27 +349,23 @@ class Mat:
             if cols is None:
                 cols = 0
             width = cols
-        object.__setattr__(self, "rows", len(grid))
-        object.__setattr__(self, "cols", width)
-        object.__setattr__(self, "entries", grid)
+        _fill_mat(self, [{j: x for j, x in enumerate(row) if x} for row in grid], width)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Mat is immutable")
 
     @classmethod
-    def _trusted(cls, grid: Iterable[Sequence[GaussRat]], cols: int) -> "Mat":
-        """Wrap rows of `cols` GaussRat entries each, with no coercion and no
-        shape checks: only for entries this module has computed or coerced."""
-        m = object.__new__(cls)
-        entries = tuple(map(tuple, grid))
-        object.__setattr__(m, "rows", len(entries))
-        object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "entries", entries)
+    def _from_rows(cls, rows: Iterable[dict[int, GaussRat]], cols: int) -> "Mat":
+        """Wrap {column: entry} dicts of nonzero GaussRat entries below
+        `cols`, with no copies, coercion or checks: only for rows this
+        package has computed, and which nothing writes afterwards."""
+        m = _new_mat(cls)
+        _fill_mat(m, rows, cols)
         return m
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Mat":
-        return cls._trusted([(ZERO,) * cols] * rows, cols)
+        return cls._from_rows([{}] * rows, cols)
 
     @classmethod
     def identity(cls, n: int) -> "Mat":
@@ -370,10 +374,7 @@ class Mat:
     @classmethod
     def diagonal(cls, values: Sequence[object]) -> "Mat":
         vals = [as_gauss(v) for v in values]
-        n = len(vals)
-        return cls._trusted(
-            [[vals[i] if i == j else ZERO for j in range(n)] for i in range(n)], n
-        )
+        return cls._from_rows([{i: x} if x else {} for i, x in enumerate(vals)], len(vals))
 
     @classmethod
     def block(cls, grid: Sequence[Sequence["Mat"]]) -> "Mat":
@@ -390,11 +391,18 @@ class Mat:
                         f"block ({i},{j}) is {blk.rows}x{blk.cols}, "
                         f"expected {heights[i]}x{widths[j]}"
                     )
-        out: list[list[GaussRat]] = []
+        offsets = [sum(widths[:j]) for j in range(len(widths))]
+        out = []
         for i, row in enumerate(grid):
             for r in range(heights[i]):
-                out.append([x for blk in row for x in blk.entries[r]])
-        return cls._trusted(out, sum(widths))
+                out.append(
+                    {
+                        off + j: x
+                        for blk, off in zip(row, offsets)
+                        for j, x in blk.nonzero[r].items()
+                    }
+                )
+        return cls._from_rows(out, sum(widths))
 
     @classmethod
     def block_diag(cls, blocks: Sequence["Mat"]) -> "Mat":
@@ -411,45 +419,69 @@ class Mat:
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
+    @property
+    def entries(self) -> tuple[tuple[GaussRat, ...], ...]:
+        """The dense grid of rows, built on each access."""
+        return tuple(_dense(row, self.cols) for row in self.nonzero)
+
+    def _column_index(self, j: int) -> int:
+        """j as a tuple would take it: negative counts from the end."""
+        j = operator.index(j)
+        if j < 0:
+            j += self.cols
+        if not 0 <= j < self.cols:
+            raise IndexError("tuple index out of range")
+        return j
+
     def __getitem__(self, key: tuple[int, int]) -> GaussRat:
         i, j = key
-        return self.entries[i][j]
+        return self.nonzero[i].get(self._column_index(j), ZERO)
 
     def row(self, i: int) -> tuple[GaussRat, ...]:
-        return self.entries[i]
+        return _dense(self.nonzero[i], self.cols)
 
     def column(self, j: int) -> tuple[GaussRat, ...]:
-        return tuple(row[j] for row in self.entries)
+        if self.rows:
+            j = self._column_index(j)
+        return tuple(row.get(j, ZERO) for row in self.nonzero)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Mat):
             return NotImplemented
-        return self.shape == other.shape and self.entries == other.entries
+        return self.shape == other.shape and self.nonzero == other.nonzero
 
     def __hash__(self) -> int:
-        return hash((self.shape, self.entries))
+        return hash((self.shape, tuple(frozenset(row.items()) for row in self.nonzero)))
 
     def __neg__(self) -> "Mat":
-        return Mat._trusted(
-            [[x if x is ZERO or not x else -x for x in row] for row in self.entries],
-            self.cols,
+        return Mat._from_rows(
+            [{j: -x for j, x in row.items()} for row in self.nonzero], self.cols
         )
 
     def __add__(self, other: "Mat") -> "Mat":
+        """Sum that walks only nonzero entries and drops those that cancel."""
         if not isinstance(other, Mat):
             return NotImplemented
         if self.shape != other.shape:
             raise ShapeError(f"cannot add {self.shape} and {other.shape}")
-        return Mat._trusted(
-            [
-                [
-                    b if a is ZERO or not a else a if b is ZERO or not b else a + b
-                    for a, b in zip(ra, rb)
-                ]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-            self.cols,
-        )
+        out = []
+        for ra, rb in zip(self.nonzero, other.nonzero):
+            if not ra or not rb:
+                out.append(ra or rb)
+                continue
+            acc = dict(ra)
+            for j, y in rb.items():
+                x = acc.get(j)
+                if x is None:
+                    acc[j] = y
+                else:
+                    v = x + y
+                    if v:
+                        acc[j] = v
+                    else:
+                        del acc[j]
+            out.append(acc)
+        return Mat._from_rows(out, self.cols)
 
     def __sub__(self, other: "Mat") -> "Mat":
         if not isinstance(other, Mat):
@@ -472,72 +504,79 @@ class Mat:
 
     def scale(self, scalar: object) -> "Mat":
         c = as_gauss(scalar)
-        return Mat._trusted([[c * x for x in row] for row in self.entries], self.cols)
+        if not c:
+            return Mat.zero(self.rows, self.cols)
+        return Mat._from_rows(
+            [{j: c * x for j, x in row.items()} for row in self.nonzero], self.cols
+        )
 
     def _matmul(self, other: "Mat") -> "Mat":
-        """Product that walks only nonzero entries.
-
-        The nonzero (column, entry) pairs of each right row are listed once;
-        each output row then sums, in a dict, the products of its left row's
-        nonzero entries with those pairs.  Most matrices here are diagonal
-        or block sparse, and most of their zeros are the shared ZERO, which
-        an identity test skips without calling __bool__.
-        """
+        """Product over the stored rows: each output row sums, in a dict, the
+        products of its left row's nonzero entries with the stored rows of
+        `other` they select, and drops the sums that cancel.  A left row
+        with one nonzero entry, as in every diagonal or monomial matrix,
+        yields products of nonzeros only and is not filtered."""
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
-        right = [
-            [(j, b) for j, b in enumerate(row) if b is not ZERO and b]
-            for row in other.entries
-        ]
+        right = other.nonzero
         out = []
-        for arow in self.entries:
+        for arow in self.nonzero:
             acc: dict[int, GaussRat] = {}
-            for p, a in enumerate(arow):
-                if a is ZERO or not a:
-                    continue
-                for j, b in right[p]:
+            for p, a in arow.items():
+                for j, b in right[p].items():
                     v = acc.get(j)
                     acc[j] = a * b if v is None else v + a * b
-            out.append(_dense(acc, other.cols))
-        return Mat._trusted(out, other.cols)
+            if len(arow) > 1:
+                acc = {j: v for j, v in acc.items() if v}
+            out.append(acc)
+        return Mat._from_rows(out, other.cols)
 
     def apply(self, vector: Sequence[GaussRat]) -> tuple[GaussRat, ...]:
         """Matrix-vector product."""
         if len(vector) != self.cols:
             raise ShapeError(f"vector of length {len(vector)} against {self.shape}")
         out = []
-        for row in self.entries:
+        for row in self.nonzero:
             acc = ZERO
-            for a, x in zip(row, vector):
-                if a and x:
+            for j, a in row.items():
+                x = vector[j]
+                if x:
                     acc = acc + a * x
             out.append(acc)
         return tuple(out)
 
     def transpose(self) -> "Mat":
-        return Mat._trusted(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            self.rows,
-        )
+        out: list[dict[int, GaussRat]] = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.nonzero):
+            for j, x in row.items():
+                out[j][i] = x
+        return Mat._from_rows(out, self.rows)
 
     def submatrix(self, row_idx: Iterable[int], col_idx: Iterable[int]) -> "Mat":
         cols = list(col_idx)
-        return Mat._trusted(
-            [[self.entries[i][j] for j in cols] for i in row_idx], len(cols)
+        picked = [self.nonzero[i] for i in row_idx]
+        # every output column that each stored column lands in
+        targets: dict[int, list[int]] = {}
+        if picked:
+            for t, j in enumerate(cols):
+                targets.setdefault(self._column_index(j), []).append(t)
+        return Mat._from_rows(
+            [
+                {t: x for j, x in row.items() for t in targets.get(j, ())}
+                for row in picked
+            ],
+            len(cols),
         )
 
     def is_zero(self) -> bool:
-        return all(not x for row in self.entries for x in row)
+        return not any(self.nonzero)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def is_diagonal(self) -> bool:
         return self.is_square() and all(
-            not x
-            for i, row in enumerate(self.entries)
-            for j, x in enumerate(row)
-            if i != j
+            not row or (len(row) == 1 and i in row) for i, row in enumerate(self.nonzero)
         )
 
     def __repr__(self) -> str:
@@ -547,42 +586,78 @@ class Mat:
         return f"Mat({self.rows}x{self.cols}: {body})"
 
 
+# Mat.__setattr__ refuses every write, so constructors fill the slots
+# through the slot descriptors
+_new_mat = object.__new__
+_set_rows = Mat.rows.__set__
+_set_cols = Mat.cols.__set__
+_set_nonzero = Mat.nonzero.__set__
+
+
+def _fill_mat(m: Mat, rows: Iterable[dict[int, GaussRat]], cols: int) -> None:
+    stored = tuple(rows)
+    _set_rows(m, len(stored))
+    _set_cols(m, cols)
+    _set_nonzero(m, stored)
+
+
+# the wire form of a zero entry as mat_to_json writes it
+_ZERO_CELL = ["0/1", "0/1"]
+
+
 def mat_to_json(m: Mat) -> list[list[list[str]]]:
-    return [[gauss_to_json(x) for x in row] for row in m.entries]
+    out = []
+    for row in m.nonzero:
+        cells = [["0/1", "0/1"] for _ in range(m.cols)]
+        for j, x in row.items():
+            cells[j] = gauss_to_json(x)
+        out.append(cells)
+    return out
 
 
 def mat_from_json(data: object, *, rows: int, cols: int) -> Mat:
+    """Decode a rows x cols grid of entries.  A cell spelled exactly as
+    mat_to_json writes zero is skipped; every other cell goes through
+    gauss_from_json, so accepted input and error messages are the same."""
     if not isinstance(data, list) or len(data) != rows:
         raise CodecError(f"expected {rows} matrix rows, got {data!r}")
-    grid = []
+    out = []
     for row in data:
         if not isinstance(row, list) or len(row) != cols:
             raise CodecError(f"expected a matrix row of width {cols}, got {row!r}")
-        grid.append([gauss_from_json(x) for x in row])
-    return Mat._trusted(grid, cols)
+        stored = {}
+        for j, cell in enumerate(row):
+            if cell != _ZERO_CELL:
+                x = gauss_from_json(cell)
+                if x:
+                    stored[j] = x
+        out.append(stored)
+    return Mat._from_rows(out, cols)
 
 
 def _echelon(
-    rows: Iterable[Sequence[GaussRat]], ncols: int
-) -> tuple[list[dict[int, GaussRat]], list[int]]:
+    rows: Sequence[Mapping[int, GaussRat]], ncols: int
+) -> tuple[list[Mapping[int, GaussRat]], list[int]]:
     """Forward elimination over sparse rows; returns (pivot rows, pivot columns).
 
-    Each row is held as a {column: entry} dict of its nonzero entries.  The
-    pivot for each column is the first remaining row with a nonzero entry
-    there, swapped into place, so the result is deterministic.  (Zero rows
-    stay in the list: a swap moves the row it displaces, so dropping them
-    would change later pivot choices.)  Every later row whose entry in the
-    pivot column (its factor) is nonzero becomes
+    Each row is a {column: entry} dict of its nonzero entries, as `Mat`
+    stores them; the input dicts are read, never written.  The pivot for
+    each column is the first remaining row with a nonzero entry there,
+    swapped into place, so the result is deterministic.  (Zero rows stay in
+    the list: a swap moves the row it displaces, so dropping them would
+    change later pivot choices.)  Every later row whose entry in the pivot
+    column (its factor) is nonzero becomes
     (pivot * row - factor * pivot_row) / previous pivot, evaluated only at
     the columns where the row or the pivot row is nonzero; rows whose
     factor is zero are left as they are, not rescaled.  This is Bareiss's
     update formula, but each step is an exact division in Q(i), so it is
-    not fraction-free and entries are reduced Gaussian rationals.
+    not fraction-free and entries are reduced Gaussian rationals; on
+    general input they grow with the number of steps.
 
     The returned dicts are the rows that became pivots, in order, as they
     stood when they did; every remaining row is zero at the end.
     """
-    work = [{j: x for j, x in enumerate(row) if x is not ZERO and x} for row in rows]
+    work = list(rows)
     # every remaining row is zero left of the current column, so the next
     # pivot column is the smallest leading column among them; a zero row
     # leads at ncols
@@ -632,7 +707,7 @@ def kernel_and_pivots(
     exactly when the matrix is injective.  Back substitution walks only the
     nonzero entries of each pivot row.
     """
-    ech, pivots = _echelon(mat.entries, mat.cols)
+    ech, pivots = _echelon(mat.nonzero, mat.cols)
     pivot_set = set(pivots)
     # (pivot column, pivot entry, the rest of the row), last pivot first
     steps = [
@@ -662,12 +737,12 @@ def kernel_basis(mat: Mat) -> list[tuple[GaussRat, ...]]:
 
 def row_basis(mat: Mat) -> tuple[list[tuple[GaussRat, ...]], list[int]]:
     """Echelon basis of the row space plus the leading column of each basis row."""
-    ech, pivots = _echelon(mat.entries, mat.cols)
+    ech, pivots = _echelon(mat.nonzero, mat.cols)
     return [_dense(row, mat.cols) for row in ech], pivots
 
 
 def rank(mat: Mat) -> int:
-    return len(_echelon(mat.entries, mat.cols)[1])
+    return len(_echelon(mat.nonzero, mat.cols)[1])
 
 
 def commutant_basis(gens: Sequence[Mat]) -> list[Mat]:
@@ -675,10 +750,23 @@ def commutant_basis(gens: Sequence[Mat]) -> list[Mat]:
 
     Diagonal generators are handled by constraint propagation (the commutator
     with diag(d) kills entry (i, j) unless d_i = d_j), so the linear system
-    that reaches the elimination only carries the surviving unknowns.  Each
-    equation is assembled from the nonzero entries of one row and one column
-    of a generator, and equations with no nonzero coefficient are dropped.
-    The result always contains the identity direction.
+    that reaches the elimination only carries the surviving unknowns,
+    numbered in row-major order.  Each other generator g contributes the
+    entries (p, q) of X*g - g*X, in row-major order: the unknown X[i][j]
+    meets g[j][q] in entry (i, q) and -g[p][i] in entry (p, j), so the
+    equations are assembled per unknown from the stored rows of g and of
+    its transpose.  Equations with no nonzero coefficient are dropped, and
+    each other one is divided by its leading coefficient.
+
+    Neither row order nor row scaling moves the pivot columns, and the
+    kernel vector of each free column is 1 there and 0 at the other free
+    columns, so the basis depends on the row space only; but the size of
+    the entries met during elimination depends on both.  For regular
+    shifts the monic equations in row-major order are +-1 incidence rows
+    and elimination keeps them so.  With repeated shifts the entries still
+    grow, since the elimination is not fraction-free; monic equations
+    shrink that growth on most inputs, not on all.  The result always
+    contains the identity direction.
     """
     mats = list(gens)
     if not mats:
@@ -690,46 +778,41 @@ def commutant_basis(gens: Sequence[Mat]) -> list[Mat]:
     if n == 0:
         return []
 
-    free = [[True] * n for _ in range(n)]
-    dense: list[Mat] = []
-    for g in mats:
-        if g.is_diagonal():
-            d = [g[i, i] for i in range(n)]
-            for i in range(n):
-                for j in range(n):
-                    if free[i][j] and d[i] != d[j]:
-                        free[i][j] = False
-        else:
-            dense.append(g)
+    diagonal = [g for g in mats if g.is_diagonal()]
+    others = [g for g in mats if not g.is_diagonal()]
+    # X[i][j] is free when i and j have the same entry in every diagonal
+    # generator
+    keys = [tuple(g.nonzero[i].get(i, ZERO) for g in diagonal) for i in range(n)]
+    classes: dict[tuple[GaussRat, ...], list[int]] = {}
+    for i, key in enumerate(keys):
+        classes.setdefault(key, []).append(i)
+    positions = [(i, j) for i in range(n) for j in classes[keys[i]]]
 
-    positions = [(i, j) for i in range(n) for j in range(n) if free[i][j]]
-    index = {pos: t for t, pos in enumerate(positions)}
+    rows: list[dict[int, GaussRat]] = []
+    for g in others:
+        g_rows, g_cols = g.nonzero, g.transpose().nonzero
+        eqs: dict[tuple[int, int], dict[int, GaussRat]] = {}
+        for t, (i, j) in enumerate(positions):
+            for q, x in g_rows[j].items():
+                eq = eqs.setdefault((i, q), {})
+                v = eq.get(t)
+                eq[t] = x if v is None else v + x
+            for p, x in g_cols[i].items():
+                eq = eqs.setdefault((p, j), {})
+                v = eq.get(t)
+                eq[t] = -x if v is None else v - x
+        for pos in sorted(eqs):
+            eq = {t: x for t, x in eqs[pos].items() if x}
+            if eq:
+                lead = eq[min(eq)]
+                rows.append(eq if lead == ONE else {t: x / lead for t, x in eq.items()})
 
-    # entry (p, q) of X*g - g*X pairs row p of X with column q of g, and
-    # row p of g with column q of X
-    rows: list[tuple[GaussRat, ...]] = []
-    for g in dense:
-        g_rows = [[(i, x) for i, x in enumerate(row) if x] for row in g.entries]
-        g_cols = [[(j, x) for j, x in enumerate(col) if x] for col in zip(*g.entries)]
-        for p in range(n):
-            for q in range(n):
-                coeffs: dict[int, GaussRat] = {}
-                for j, x in g_cols[q]:
-                    if free[p][j]:
-                        t = index[(p, j)]
-                        coeffs[t] = coeffs[t] + x if t in coeffs else x
-                for i, x in g_rows[p]:
-                    if free[i][q]:
-                        t = index[(i, q)]
-                        coeffs[t] = coeffs[t] - x if t in coeffs else -x
-                if any(coeffs.values()):
-                    rows.append(_dense(coeffs, len(positions)))
-
-    vectors = kernel_basis(Mat._trusted(rows, len(positions)))
+    vectors = kernel_basis(Mat._from_rows(rows, len(positions)))
     out = []
     for v in vectors:
-        grid = [[ZERO] * n for _ in range(n)]
-        for t, (i, j) in enumerate(positions):
-            grid[i][j] = v[t]
-        out.append(Mat._trusted(grid, n))
+        grid: list[dict[int, GaussRat]] = [{} for _ in range(n)]
+        for (i, j), x in zip(positions, v):
+            if x:
+                grid[i][j] = x
+        out.append(Mat._from_rows(grid, n))
     return out

@@ -139,12 +139,15 @@ def entrywise_e(seed: Seed) -> Mat:
     relations instead.
     """
     k, l = seed.k, seed.l
-    n = k + l
-    grid = [[ZERO] * n for _ in range(n)]
+    rows = []
     for i in range(k):
-        for j in range(l):
-            grid[i][k + j] = (seed.a[i] - seed.b[j]) * seed.coupling[i, j]
-    return Mat(grid, cols=n)
+        row = {}
+        for j, x in seed.coupling.nonzero[i].items():
+            v = (seed.a[i] - seed.b[j]) * x
+            if v:
+                row[k + j] = v
+        rows.append(row)
+    return Mat._from_rows(rows + [{}] * l, k + l)
 
 
 @dataclass(frozen=True, slots=True)
@@ -166,22 +169,31 @@ def extension_profile(rep: Rep) -> ExtensionProfile:
     """
     if not rep.is_calibrated:
         raise PreconditionError("extension profile needs diagonal y1 and y2")
+    k = check_core_shape(rep, "rep not in canonical block shape")
+    socle = tuple(("-", rep.y1[i, i]) for i in range(k))
+    quotient = tuple(("+", rep.y1[i, i]) for i in range(k, rep.dim))
+    return ExtensionProfile(socle, quotient)
+
+
+def check_core_shape(rep: Rep, refusal: str) -> int:
+    """The k of a calibrated module whose y1 - y2 is k entries +1 followed
+    by -1s, matching its declared split.
+
+    Raises PreconditionError "<refusal>: ..." when the weights are not in
+    that shape, and one naming both splits when they disagree.
+    """
     n = rep.dim
     d = [rep.y1[i, i] - rep.y2[i, i] for i in range(n)]
     k = 0
     while k < n and d[k] == ONE:
         k += 1
     if any(d[i] != _MINUS_ONE for i in range(k, n)):
-        raise PreconditionError(
-            "rep not in canonical block shape: y1 - y2 must be +1s followed by -1s"
-        )
+        raise PreconditionError(f"{refusal}: y1 - y2 must be +1s followed by -1s")
     if (k, n - k) != (rep.k, rep.l):
         raise PreconditionError(
             f"declared split ({rep.k},{rep.l}) does not match weights ({k},{n - k})"
         )
-    socle = tuple(("-", rep.y1[i, i]) for i in range(k))
-    quotient = tuple(("+", rep.y1[i, i]) for i in range(k, n))
-    return ExtensionProfile(socle, quotient)
+    return k
 
 
 def seed_to_json(seed: Seed) -> dict:

@@ -60,12 +60,7 @@ def analyze(matrix: Mat) -> RhizomeReport:
 
     Class labels number the classes by first appearance in row-major order.
     """
-    positions = [
-        (i, j)
-        for i in range(matrix.rows)
-        for j in range(matrix.cols)
-        if matrix[i, j]
-    ]
+    positions = [(i, j) for i, row in enumerate(matrix.nonzero) for j in sorted(row)]
     index = {pos: t for t, pos in enumerate(positions)}
     uf = _UnionFind(len(positions))
     by_row: dict[int, int] = {}
@@ -105,6 +100,7 @@ def bipartite_components(matrix: Mat) -> list[tuple[tuple[int, ...], tuple[int, 
     the smallest vertex it contains; rows come before columns.
     """
     k, l = matrix.rows, matrix.cols
+    row_nz, col_nz = matrix.nonzero, matrix.transpose().nonzero
     seen_rows = [False] * k
     seen_cols = [False] * l
     components = []
@@ -117,14 +113,14 @@ def bipartite_components(matrix: Mat) -> list[tuple[tuple[int, ...], tuple[int, 
             kind, x = queue.popleft()
             if kind == "r":
                 rows_here.append(x)
-                for j in range(l):
-                    if matrix[x, j] and not seen_cols[j]:
+                for j in row_nz[x]:
+                    if not seen_cols[j]:
                         seen_cols[j] = True
                         queue.append(("c", j))
             else:
                 cols_here.append(x)
-                for i in range(k):
-                    if matrix[i, x] and not seen_rows[i]:
+                for i in col_nz[x]:
+                    if not seen_rows[i]:
                         seen_rows[i] = True
                         queue.append(("r", i))
         return tuple(sorted(rows_here)), tuple(sorted(cols_here))
@@ -163,6 +159,8 @@ def scaling_normalize(matrix: Mat) -> ScalingNormalization:
     if not analyze(matrix).is_rhizomatic:
         raise PreconditionError("scaling normalization needs a rhizomatic matrix")
     k, l = matrix.rows, matrix.cols
+    # transpose rows list their keys in ascending order
+    row_nz, col_nz = matrix.nonzero, matrix.transpose().nonzero
     xi: list[GaussRat | None] = [None] * k
     phi: list[GaussRat | None] = [None] * l
     xi[0] = ONE
@@ -171,24 +169,21 @@ def scaling_normalize(matrix: Mat) -> ScalingNormalization:
     while queue:
         kind, x = queue.popleft()
         if kind == "r":
-            for j in range(l):
-                if matrix[x, j] and phi[j] is None:
-                    phi[j] = (xi[x] * matrix[x, j]).inverse()
+            for j in sorted(row_nz[x]):
+                if phi[j] is None:
+                    phi[j] = (xi[x] * row_nz[x][j]).inverse()
                     tree.append((x, j))
                     queue.append(("c", j))
         else:
-            for i in range(k):
-                if matrix[i, x] and xi[i] is None:
-                    xi[i] = (phi[x] * matrix[i, x]).inverse()
+            for i, y in col_nz[x].items():
+                if xi[i] is None:
+                    xi[i] = (phi[x] * y).inverse()
                     tree.append((i, x))
                     queue.append(("r", i))
-    rows = [
-        [xi[i] * phi[j] * matrix[i, j] if matrix[i, j] else ZERO for j in range(l)]
-        for i in range(k)
-    ]
+    rows = [{j: xi[i] * phi[j] * x for j, x in row.items()} for i, row in enumerate(row_nz)]
     return ScalingNormalization(
         tree_edges=tuple(tree),
-        normalized=Mat(rows, cols=l),
+        normalized=Mat._from_rows(rows, l),
         row_scalars=tuple(xi),
         col_scalars=tuple(phi),
     )
@@ -226,5 +221,5 @@ def parse_pattern(text: str) -> Mat:
 
 def format_pattern(matrix: Mat) -> str:
     return "\n".join(
-        "".join("*" if x else "." for x in row) for row in matrix.entries
+        "".join("*" if j in row else "." for j in range(matrix.cols)) for row in matrix.nonzero
     )

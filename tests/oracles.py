@@ -305,3 +305,77 @@ def make_split_core(
         s=Mat.block([[Mat.identity(k).scale(GaussRat(-1)), upper], [lower, Mat.identity(l)]]),
         e=Mat.block([[Mat.zero(k, k), e_block], [Mat.zero(l, k), Mat.zero(l, l)]]),
     )
+
+
+# Dense reference for the Mat operations: a matrix is a list of rows of
+# (re, im) Fraction pairs, every zero written out.
+
+PairGrid = list[list[Pair]]
+
+
+def pair_zero_grid(rows: int, cols: int) -> PairGrid:
+    return [[_PAIR_ZERO] * cols for _ in range(rows)]
+
+
+def pair_diagonal(values: Sequence[Pair]) -> PairGrid:
+    out = pair_zero_grid(len(values), len(values))
+    for i, x in enumerate(values):
+        out[i][i] = x
+    return out
+
+
+def pair_block(grid: Sequence[Sequence[PairGrid]]) -> PairGrid:
+    out = []
+    for row in grid:
+        for r in range(len(row[0])):
+            out.append([x for blk in row for x in blk[r]])
+    return out
+
+
+def pair_neg(a: PairGrid) -> PairGrid:
+    return [[pair_sub(_PAIR_ZERO, x) for x in row] for row in a]
+
+
+def pair_sum(a: PairGrid, b: PairGrid) -> PairGrid:
+    return [[pair_add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def pair_scale(c: Pair, a: PairGrid) -> PairGrid:
+    return [[pair_mul(c, x) for x in row] for row in a]
+
+
+def pair_product(a: PairGrid, b: PairGrid, cols: int) -> PairGrid:
+    out = pair_zero_grid(len(a), cols)
+    for i, row in enumerate(a):
+        for j in range(cols):
+            acc = _PAIR_ZERO
+            for p, x in enumerate(row):
+                acc = pair_add(acc, pair_mul(x, b[p][j]))
+            out[i][j] = acc
+    return out
+
+
+def pair_apply(a: PairGrid, vector: Sequence[Pair]) -> list[Pair]:
+    return [pair_product([row], [[x] for x in vector], 1)[0][0] for row in a]
+
+
+def pair_transpose(a: PairGrid, cols: int) -> PairGrid:
+    return [[row[j] for row in a] for j in range(cols)]
+
+
+def pair_submatrix(a: PairGrid, rows: Sequence[int], cols: Sequence[int]) -> PairGrid:
+    return [[a[i][j] for j in cols] for i in rows]
+
+
+def pair_is_zero(a: PairGrid) -> bool:
+    return not any(any(x) for row in a for x in row)
+
+
+def pair_is_diagonal(a: PairGrid, cols: int) -> bool:
+    return len(a) == cols and all(
+        not any(x) for i, row in enumerate(a) for j, x in enumerate(row) if i != j
+    )
+
+
+def pairs_to_gauss(a: PairGrid) -> list[list[GaussRat]]:
+    return [[GaussRat(*x) for x in row] for row in a]

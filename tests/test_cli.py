@@ -126,8 +126,7 @@ class TestInputErrors:
         path = _write(tmp_path, "seed.json", json.dumps(document))
         result = runner.invoke(main, ["canonical", *flags, path])
         assert result.exit_code == 3
-        if flags:
-            assert result.stdout == ""
+        assert result.stdout == ""
         assert result.stderr.count("\n") == 1
         assert "decimal digits" in result.stderr
         assert "Traceback" not in result.stderr
