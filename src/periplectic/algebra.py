@@ -9,7 +9,6 @@ which e becomes zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import CodecError, ShapeError
@@ -21,6 +20,7 @@ from .linalg import (
     mat_from_json,
     mat_to_json,
 )
+from .record import Record
 
 __all__ = [
     "Rep",
@@ -36,14 +36,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class Rep:
+class Rep(Record):
     """Matrices for the four generators, acting on a (k+l)-dimensional space.
 
     k and l record the declared split of the basis into (+1)- and
     (-1)-weight vectors for y1 - y2; the constructions in `reps` always
     order the basis so the +1 block comes first.
     """
+
+    __slots__ = ("k", "l", "y1", "y2", "s", "e")
 
     k: int
     l: int
@@ -73,16 +74,18 @@ class Rep:
         return (self.y1, self.y2, self.s, self.e)
 
 
-@dataclass(frozen=True, slots=True)
-class Violation:
+class Violation(Record):
+    __slots__ = ("relation", "position", "lhs", "rhs")
+
     relation: str
     position: tuple[int, int]
     lhs: GaussRat
     rhs: GaussRat
 
 
-@dataclass(frozen=True, slots=True)
-class RelationReport:
+class RelationReport(Record):
+    __slots__ = ("passed", "violations", "checked")
+
     passed: bool
     violations: tuple[Violation, ...]
     checked: tuple[str, ...]

@@ -13,7 +13,6 @@ sorting the shifts and gauging the coupling along a spanning tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .algebra import Rep
@@ -31,6 +30,7 @@ from .linalg import (
     kernel_and_pivots,
     row_basis,
 )
+from .record import Record
 from .reps import Seed, build_rep, check_core_shape
 from .rhizome import analyze, bipartite_components, scaling_normalize
 
@@ -65,13 +65,14 @@ _MINUS_ONE = GaussRat(-1)
 Vector = tuple[GaussRat, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class MonomialPair:
+class MonomialPair(Record):
     """A monomial change of basis in each weight space.
 
     The first matrix has entry xi_i in row i and column sigma(i); the second
     likewise with phi and tau.  Permutations are 0-based image tuples.
     """
+
+    __slots__ = ("sigma", "xi", "tau", "phi")
 
     sigma: tuple[int, ...]
     xi: tuple[GaussRat, ...]
@@ -156,8 +157,9 @@ def is_regular(eigenvalues: Sequence[GaussRat], k: int, l: int) -> bool:
     return len(set(a)) == k and len(set(b)) == l
 
 
-@dataclass(frozen=True, slots=True)
-class EndoReport:
+class EndoReport(Record):
+    __slots__ = ("dimension", "basis", "all_diagonal")
+
     dimension: int
     basis: tuple[Mat, ...]
     all_diagonal: bool
@@ -177,12 +179,14 @@ def endo_report(rep: Rep) -> EndoReport:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class Verdict:
+class Verdict(Record):
+    __slots__ = ("value", "reason", "witness", "endo_dim")
+    _defaults = (None, None)  # witness, endo_dim
+
     value: str
     reason: str
-    witness: tuple[tuple[Vector, ...], tuple[Vector, ...]] | None = None
-    endo_dim: int | None = None
+    witness: tuple[tuple[Vector, ...], tuple[Vector, ...]] | None
+    endo_dim: int | None
 
 
 def _unit(n: int, i: int) -> Vector:
@@ -381,9 +385,10 @@ def e_nonzero_guarantee(seed: Seed) -> bool:
     return True
 
 
-@dataclass(frozen=True, slots=True)
-class CanonicalForm:
+class CanonicalForm(Record):
     """Orbit representative: sorted shifts and a tree-gauged coupling."""
+
+    __slots__ = ("eigenvalues", "coupling")
 
     eigenvalues: tuple[GaussRat, ...]
     coupling: Mat
@@ -427,11 +432,12 @@ def isomorphic(seed1: Seed, seed2: Seed) -> bool:
         ) from None
 
 
-@dataclass(frozen=True, slots=True)
-class WeightBlockPartition:
+class WeightBlockPartition(Record):
     """Indices of the +1 and -1 weight spaces and of the paired weight
     blocks (d, indices with weight d, indices with weight -d), in the
     original basis order."""
+
+    __slots__ = ("plus_block", "minus_block", "other_blocks")
 
     plus_block: tuple[int, ...]
     minus_block: tuple[int, ...]

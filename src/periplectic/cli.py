@@ -8,12 +8,12 @@ print a human summary, or a machine document with --json.  Exit codes:
 
 from __future__ import annotations
 
+import argparse
 import functools
 import json
 import random
 import sys
-
-import click
+from typing import NoReturn
 
 from .algebra import (
     Rep,
@@ -39,11 +39,10 @@ from .errors import CodecError, PreconditionError, ShapeError
 from .linalg import gauss_to_json, mat_to_json
 from .reps import Seed, build_rep, entrywise_e, seed_from_json
 from .rhizome import analyze, bipartite_components, parse_pattern
-from .sampling import random_monomial_pair, random_polynomial, random_seed
 
 
-def _fail(code: int, message: str) -> None:
-    click.echo(message, err=True)
+def _fail(code: int, message: str) -> NoReturn:
+    print(message, file=sys.stderr)
     sys.exit(code)
 
 
@@ -53,7 +52,6 @@ def _read_text(path: str) -> str:
             return handle.read()
     except OSError as exc:
         _fail(2, f"{path}: {exc.strerror or exc}")
-        raise AssertionError("unreachable")
 
 
 def _parse_json(text: str, origin: str) -> object:
@@ -61,7 +59,6 @@ def _parse_json(text: str, origin: str) -> object:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         _fail(2, f"{origin}:{exc.lineno}:{exc.colno}: {exc.msg}")
-        raise AssertionError("unreachable")
 
 
 def _load_seed(path: str) -> Seed:
@@ -70,7 +67,6 @@ def _load_seed(path: str) -> Seed:
         return seed_from_json(data)
     except (CodecError, ShapeError) as exc:
         _fail(2, f"{path}: {exc}")
-        raise AssertionError("unreachable")
 
 
 def _load_rep(path: str) -> Rep:
@@ -79,7 +75,6 @@ def _load_rep(path: str) -> Rep:
         return rep_from_json(data)
     except (CodecError, ShapeError) as exc:
         _fail(2, f"{path}: {exc}")
-        raise AssertionError("unreachable")
 
 
 def _guard(fn):
@@ -96,22 +91,49 @@ def _guard(fn):
 
 
 def _dump(document: object) -> None:
-    click.echo(json.dumps(document, indent=2))
+    print(json.dumps(document, indent=2))
 
 
 def _echo_lines(lines: list[str]) -> None:
     """Write text output in one piece, once every line has been formatted,
     so an error while formatting leaves stdout empty."""
-    click.echo("\n".join(lines))
+    print("\n".join(lines))
 
 
-@click.group()
-def main() -> None:
-    """Exact construction and classification of calibrated two-strand modules."""
+class _Command:
+    """One verb: the function that runs it, with the parsed arguments as
+    keywords, and the argparse arguments it takes."""
+
+    __slots__ = ("callback", "arguments", "doc")
+
+    def __init__(self, callback, arguments: tuple, doc: str):
+        self.callback = callback
+        self.arguments = arguments
+        self.doc = doc
 
 
-@main.command()
-@click.argument("seed_file", type=click.Path())
+_COMMANDS: dict[str, _Command] = {}
+
+
+def _arg(*names: str, **options: object) -> tuple:
+    """One `add_argument` call's positional and keyword arguments."""
+    return names, options
+
+
+_JSON = _arg("--json", dest="as_json", action="store_true", help="machine-readable output")
+
+
+def _command(name: str, *arguments: tuple):
+    """Register the decorated function as verb `name`."""
+
+    def register(fn):
+        _COMMANDS[name] = _Command(fn, arguments, fn.__doc__)
+        return fn
+
+    return register
+
+
+@_command("construct", _arg("seed_file"))
 @_guard
 def construct(seed_file: str) -> None:
     """Build the module of a seed file and print it as JSON."""
@@ -119,9 +141,7 @@ def construct(seed_file: str) -> None:
     _dump(rep_to_json(rep))
 
 
-@main.command()
-@click.argument("rep_file", type=click.Path())
-@click.option("--json", "as_json", is_flag=True, help="machine-readable output")
+@_command("verify", _arg("rep_file"), _JSON)
 @_guard
 def verify(rep_file: str, as_json: bool) -> None:
     """Check the nine defining relations; exit 0 iff all hold."""
@@ -154,9 +174,7 @@ def verify(rep_file: str, as_json: bool) -> None:
     sys.exit(0 if report.passed else 1)
 
 
-@main.command()
-@click.argument("input_file", type=click.Path())
-@click.option("--json", "as_json", is_flag=True, help="machine-readable output")
+@_command("rhizome", _arg("input_file"), _JSON)
 @_guard
 def rhizome(input_file: str, as_json: bool) -> None:
     """Zero-pattern analysis of a coupling matrix.
@@ -171,7 +189,6 @@ def rhizome(input_file: str, as_json: bool) -> None:
             matrix = parse_pattern(text)
         except CodecError as exc:
             _fail(2, f"{input_file}: {exc}")
-            raise AssertionError("unreachable")
     report = analyze(matrix)
     if as_json:
         _dump(
@@ -183,15 +200,13 @@ def rhizome(input_file: str, as_json: bool) -> None:
             }
         )
     else:
-        click.echo(f"classes: {report.n_classes}")
-        click.echo(f"zero_rows: {report.zero_rows}")
-        click.echo(f"zero_cols: {report.zero_cols}")
-        click.echo(f"is_rhizomatic: {'true' if report.is_rhizomatic else 'false'}")
+        print(f"classes: {report.n_classes}")
+        print(f"zero_rows: {report.zero_rows}")
+        print(f"zero_cols: {report.zero_cols}")
+        print(f"is_rhizomatic: {'true' if report.is_rhizomatic else 'false'}")
 
 
-@main.command(name="indecomposable")
-@click.argument("seed_file", type=click.Path())
-@click.option("--json", "as_json", is_flag=True, help="machine-readable output")
+@_command("indecomposable", _arg("seed_file"), _JSON)
 @_guard
 def indecomposable_cmd(seed_file: str, as_json: bool) -> None:
     """Classify the module of a seed as indecomposable, decomposable, or unknown."""
@@ -199,18 +214,16 @@ def indecomposable_cmd(seed_file: str, as_json: bool) -> None:
     if as_json:
         _dump(verdict_to_json(verdict))
     else:
-        click.echo(f"verdict: {verdict.value}")
-        click.echo(f"reason: {verdict.reason}")
+        print(f"verdict: {verdict.value}")
+        print(f"reason: {verdict.reason}")
         if verdict.witness is not None:
             d1, d2 = (len(part) for part in verdict.witness)
-            click.echo(f"witness: invariant summands of dimensions {d1} and {d2}")
+            print(f"witness: invariant summands of dimensions {d1} and {d2}")
         if verdict.endo_dim is not None:
-            click.echo(f"endomorphism dimension: {verdict.endo_dim}")
+            print(f"endomorphism dimension: {verdict.endo_dim}")
 
 
-@main.command()
-@click.argument("rep_file", type=click.Path())
-@click.option("--json", "as_json", is_flag=True, help="machine-readable output")
+@_command("endo", _arg("rep_file"), _JSON)
 @_guard
 def endo(rep_file: str, as_json: bool) -> None:
     """Compute the endomorphism algebra of a module."""
@@ -224,13 +237,11 @@ def endo(rep_file: str, as_json: bool) -> None:
             }
         )
     else:
-        click.echo(f"dimension: {report.dimension}")
-        click.echo(f"all_diagonal: {'true' if report.all_diagonal else 'false'}")
+        print(f"dimension: {report.dimension}")
+        print(f"all_diagonal: {'true' if report.all_diagonal else 'false'}")
 
 
-@main.command()
-@click.argument("seed_file", type=click.Path())
-@click.option("--json", "as_json", is_flag=True, help="machine-readable output")
+@_command("canonical", _arg("seed_file"), _JSON)
 @_guard
 def canonical(seed_file: str, as_json: bool) -> None:
     """Print the canonical orbit representative of a regular rhizomatic seed."""
@@ -243,10 +254,7 @@ def canonical(seed_file: str, as_json: bool) -> None:
         _echo_lines(lines)
 
 
-@main.command(name="isomorphic")
-@click.argument("seed_file_1", type=click.Path())
-@click.argument("seed_file_2", type=click.Path())
-@click.option("--json", "as_json", is_flag=True, help="machine-readable output")
+@_command("isomorphic", _arg("seed_file_1"), _arg("seed_file_2"), _JSON)
 @_guard
 def isomorphic_cmd(seed_file_1: str, seed_file_2: str, as_json: bool) -> None:
     """Decide isomorphism of two seeds' modules; exit 0 iff isomorphic."""
@@ -254,13 +262,11 @@ def isomorphic_cmd(seed_file_1: str, seed_file_2: str, as_json: bool) -> None:
     if as_json:
         _dump({"isomorphic": answer})
     else:
-        click.echo(f"isomorphic: {'true' if answer else 'false'}")
+        print(f"isomorphic: {'true' if answer else 'false'}")
     sys.exit(0 if answer else 1)
 
 
-@main.command()
-@click.argument("rep_file", type=click.Path())
-@click.option("--json", "as_json", is_flag=True, help="machine-readable output")
+@_command("split", _arg("rep_file"), _JSON)
 @_guard
 def split(rep_file: str, as_json: bool) -> None:
     """Sort a calibrated module into weight blocks and try the core splitter."""
@@ -309,6 +315,9 @@ def split(rep_file: str, as_json: bool) -> None:
 
 def _fuzz_trial(rng: random.Random, kmax: int, lmax: int) -> list[str]:
     """One trial of the property suite; returns failure descriptions."""
+    # imported here, so that no other verb pays for it
+    from .sampling import random_monomial_pair, random_polynomial, random_seed
+
     seed = random_seed(rng, kmax, lmax)
     rep = build_rep(seed)
     problems: list[str] = []
@@ -337,12 +346,15 @@ def _fuzz_trial(rng: random.Random, kmax: int, lmax: int) -> list[str]:
     return problems
 
 
-@main.command()
-@click.option("--kmax", default=4, show_default=True, help="largest first dimension")
-@click.option("--lmax", default=4, show_default=True, help="largest second dimension")
-@click.option("--trials", default=100, show_default=True)
-@click.option("--seed", "rng_seed", default=0, show_default=True, help="pseudo-random seed")
-@click.option("--json", "as_json", is_flag=True, help="machine-readable output")
+@_command(
+    "fuzz",
+    _arg("--kmax", type=int, default=4, help="largest first dimension (default: %(default)s)"),
+    _arg("--lmax", type=int, default=4, help="largest second dimension (default: %(default)s)"),
+    _arg("--trials", type=int, default=100, help="number of trials (default: %(default)s)"),
+    _arg("--seed", dest="rng_seed", metavar="SEED", type=int, default=0,
+         help="pseudo-random seed (default: %(default)s)"),
+    _JSON,
+)
 def fuzz(kmax: int, lmax: int, trials: int, rng_seed: int, as_json: bool) -> None:
     """Run the random property suite; reproducible for a fixed --seed."""
     rng = random.Random(rng_seed)
@@ -362,11 +374,40 @@ def fuzz(kmax: int, lmax: int, trials: int, rng_seed: int, as_json: bool) -> Non
             }
         )
     else:
-        click.echo(f"fuzz kmax={kmax} lmax={lmax} trials={trials} seed={rng_seed}")
+        print(f"fuzz kmax={kmax} lmax={lmax} trials={trials} seed={rng_seed}")
         for failure in failures:
-            click.echo(f"FAIL trial {failure['trial']}: {failure['problem']}")
-        click.echo(f"{trials - len({f['trial'] for f in failures})}/{trials} trials passed")
+            print(f"FAIL trial {failure['trial']}: {failure['problem']}")
+        print(f"{trials - len({f['trial'] for f in failures})}/{trials} trials passed")
     sys.exit(1 if failures else 0)
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="periplectic",
+        description="Exact construction and classification of calibrated two-strand modules.",
+        allow_abbrev=False,
+    )
+    verbs = parser.add_subparsers(dest="verb", metavar="COMMAND", required=True)
+    for name, command in main.commands.items():
+        help_line = command.doc.split("\n")[0]
+        verb = verbs.add_parser(name, help=help_line, description=command.doc, allow_abbrev=False)
+        for names, options in command.arguments:
+            verb.add_argument(*names, **options)
+    return parser
+
+
+def main(args: list[str] | None = None) -> NoReturn:
+    """Run the verb named in `args` (default: the command line) and exit
+    with its code; a usage error exits 2."""
+    options = vars(_parser().parse_args(args))
+    verb = options.pop("verb")
+    main.commands[verb].callback(**options)
+    sys.exit(0)
+
+
+# verb -> _Command; the callback is looked up on every call, so it may be
+# replaced after import
+main.commands = _COMMANDS
 
 
 if __name__ == "__main__":

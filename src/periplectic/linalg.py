@@ -354,6 +354,9 @@ class Mat:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Mat is immutable")
 
+    def __reduce__(self):
+        return (Mat._from_rows, (self.nonzero, self.cols))
+
     @classmethod
     def _from_rows(cls, rows: Iterable[dict[int, GaussRat]], cols: int) -> "Mat":
         """Wrap {column: entry} dicts of nonzero GaussRat entries below

@@ -9,8 +9,6 @@ nonzero shift pattern switches on the extra generator e.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import Rep
 from .errors import CodecError, PreconditionError, ShapeError
 from .linalg import (
@@ -24,6 +22,7 @@ from .linalg import (
     mat_from_json,
     mat_to_json,
 )
+from .record import Record
 
 __all__ = [
     "Seed",
@@ -40,13 +39,14 @@ __all__ = [
 _MINUS_ONE = GaussRat(-1)
 
 
-@dataclass(frozen=True, slots=True)
-class Seed:
+class Seed(Record):
     """Input data for the two-parameter family: a coupling matrix and shifts.
 
     eigenvalues lists the k shift values a_1..a_k followed by the l values
     b_1..b_l; the built module has y1 = diag(a_1..a_k, b_1 - 1..b_l - 1).
     """
+
+    __slots__ = ("k", "l", "coupling", "eigenvalues")
 
     k: int
     l: int
@@ -150,11 +150,12 @@ def entrywise_e(seed: Seed) -> Mat:
     return Mat._from_rows(rows + [{}] * l, k + l)
 
 
-@dataclass(frozen=True, slots=True)
-class ExtensionProfile:
+class ExtensionProfile(Record):
     """Composition data read off a module in canonical block shape: the
     socle collects one-dimensional s = -1 factors, the quotient s = +1
     factors, each tagged with its y1 eigenvalue."""
+
+    __slots__ = ("socle_factors", "quotient_factors")
 
     socle_factors: tuple[tuple[str, GaussRat], ...]
     quotient_factors: tuple[tuple[str, GaussRat], ...]

@@ -12,10 +12,10 @@ zero columns.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .errors import CodecError, PreconditionError
 from .linalg import GaussRat, Mat, ONE, ZERO
+from .record import Record
 
 __all__ = [
     "RhizomeReport",
@@ -46,8 +46,9 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
-@dataclass(frozen=True, slots=True)
-class RhizomeReport:
+class RhizomeReport(Record):
+    __slots__ = ("n_classes", "zero_rows", "zero_cols", "is_rhizomatic", "class_labels")
+
     n_classes: int
     zero_rows: int
     zero_cols: int
@@ -136,9 +137,10 @@ def bipartite_components(matrix: Mat) -> list[tuple[tuple[int, ...], tuple[int, 
     return components
 
 
-@dataclass(frozen=True, slots=True)
-class ScalingNormalization:
+class ScalingNormalization(Record):
     """Result of gauging row and column scalings along a spanning tree."""
+
+    __slots__ = ("tree_edges", "normalized", "row_scalars", "col_scalars")
 
     tree_edges: tuple[tuple[int, int], ...]
     normalized: Mat

@@ -11,7 +11,6 @@ import random
 import sys
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import assume, given, settings, strategies as st
 
 import periplectic.classify as classify
@@ -35,10 +34,10 @@ from periplectic import (
     scaling_normalize,
 )
 from periplectic.classify import _check_split
-from periplectic.cli import main
 from periplectic.linalg import row_basis
 from periplectic.sampling import random_monomial_pair, random_seed
 
+from cli_runner import run_cli
 from oracles import (
     _pairs,
     in_span,
@@ -265,7 +264,7 @@ PINNED_WITNESS = [
 def test_split_json_bytes_are_pinned(tmp_path):
     path = tmp_path / "core.json"
     path.write_text(json.dumps(rep_to_json(PINNED_CORE)))
-    result = CliRunner().invoke(main, ["split", "--json", str(path)])
+    result = run_cli(["split", "--json", str(path)])
     assert result.exit_code == 0
     assert json.loads(result.stdout)["core_split"]["witness"] == PINNED_WITNESS
     assert len(result.stdout) == 14700
