@@ -123,6 +123,15 @@ def _arg(*names: str, **options: object) -> tuple:
 _JSON = _arg("--json", dest="as_json", action="store_true", help="machine-readable output")
 
 
+class _AtLeast(argparse.Action):
+    """Store an int option; one below `const` is a usage error."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < self.const:
+            raise argparse.ArgumentError(self, f"must be at least {self.const}, got {value}")
+        setattr(namespace, self.dest, value)
+
+
 def _command(name: str, *arguments: tuple):
     """Register the decorated function as verb `name`."""
 
@@ -348,9 +357,12 @@ def _fuzz_trial(rng: random.Random, kmax: int, lmax: int) -> list[str]:
 
 @_command(
     "fuzz",
-    _arg("--kmax", type=int, default=4, help="largest first dimension (default: %(default)s)"),
-    _arg("--lmax", type=int, default=4, help="largest second dimension (default: %(default)s)"),
-    _arg("--trials", type=int, default=100, help="number of trials (default: %(default)s)"),
+    _arg("--kmax", type=int, action=_AtLeast, const=1, default=4,
+         help="largest first dimension, at least 1 (default: %(default)s)"),
+    _arg("--lmax", type=int, action=_AtLeast, const=1, default=4,
+         help="largest second dimension, at least 1 (default: %(default)s)"),
+    _arg("--trials", type=int, action=_AtLeast, const=0, default=100,
+         help="number of trials (default: %(default)s)"),
     _arg("--seed", dest="rng_seed", metavar="SEED", type=int, default=0,
          help="pseudo-random seed (default: %(default)s)"),
     _JSON,

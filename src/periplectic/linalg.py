@@ -639,66 +639,54 @@ def mat_from_json(data: object, *, rows: int, cols: int) -> Mat:
 
 
 def _echelon(
-    rows: Sequence[Mapping[int, GaussRat]], ncols: int
+    rows: Sequence[Mapping[int, GaussRat]],
 ) -> tuple[list[Mapping[int, GaussRat]], list[int]]:
     """Forward elimination over sparse rows; returns (pivot rows, pivot columns).
 
     Each row is a {column: entry} dict of its nonzero entries, as `Mat`
-    stores them; the input dicts are read, never written.  The pivot for
-    each column is the first remaining row with a nonzero entry there,
-    swapped into place, so the result is deterministic.  (Zero rows stay in
-    the list: a swap moves the row it displaces, so dropping them would
-    change later pivot choices.)  Every later row whose entry in the pivot
-    column (its factor) is nonzero becomes
-    (pivot * row - factor * pivot_row) / previous pivot, evaluated only at
-    the columns where the row or the pivot row is nonzero; rows whose
-    factor is zero are left as they are, not rescaled.  This is Bareiss's
-    update formula, but each step is an exact division in Q(i), so it is
-    not fraction-free and entries are reduced Gaussian rationals; on
-    general input they grow with the number of steps.
+    stores them; the input dicts are read, never written.  Nonzero rows
+    wait under their leading column, in arrival order.  Each step takes the
+    rows waiting under the smallest leading column c: the first one,
+    divided by its entry at c, is the pivot row, and every other row r
+    becomes r - r[c] * pivot_row, evaluated only where r or the pivot row
+    is nonzero, and waits again under its new leading column unless it is
+    zero.  So the result depends on the input order only.
 
-    The returned dicts are the rows that became pivots, in order, as they
-    stood when they did; every remaining row is zero at the end.
+    The pivot rows come out monic, by increasing pivot column.  Every entry
+    met is a ratio of two minors of the input (Edmonds 1967), so entries
+    do not grow with the number of steps.
     """
-    work = list(rows)
-    # every remaining row is zero left of the current column, so the next
-    # pivot column is the smallest leading column among them; a zero row
-    # leads at ncols
-    leads = [min(row) if row else ncols for row in work]
-    m = len(work)
-    prev = ONE
+    waiting: dict[int, list[Mapping[int, GaussRat]]] = {}
+    for row in rows:
+        if row:
+            waiting.setdefault(min(row), []).append(row)
+    ech: list[Mapping[int, GaussRat]] = []
     pivots: list[int] = []
-    for r in range(m):
-        c = min(leads[r:])
-        if c == ncols:
-            break
-        p = leads.index(c, r)
-        if p != r:
-            work[r], work[p] = work[p], work[r]
-            leads[r], leads[p] = leads[p], leads[r]
-        rr = work[r]
-        piv = rr[c]
-        for i in range(r + 1, m):
-            if leads[i] != c:
-                continue
-            ri = work[i]
-            fac = ri[c]
-            out: dict[int, GaussRat] = {}
-            for j, x in ri.items():
-                if j == c:
-                    continue
-                y = rr.get(j)
-                v = piv * x if y is None else piv * x - fac * y
-                if v:
-                    out[j] = v / prev
-            for j, y in rr.items():
-                if j != c and j not in ri:
-                    out[j] = -(fac * y) / prev
-            work[i] = out
-            leads[i] = min(out) if out else ncols
+    while waiting:
+        c = min(waiting)
+        head, *others = waiting.pop(c)
+        if head[c] != ONE:
+            inv = head[c].inverse()
+            head = {j: x * inv for j, x in head.items()}
+        ech.append(head)
         pivots.append(c)
-        prev = piv
-    return work[: len(pivots)], pivots
+        rest = [(j, y) for j, y in head.items() if j != c]
+        for row in others:
+            neg = -row[c]
+            out = {j: x for j, x in row.items() if j != c}
+            for j, y in rest:
+                x = out.get(j)
+                if x is None:
+                    out[j] = neg * y
+                else:
+                    v = x + neg * y
+                    if v:
+                        out[j] = v
+                    else:
+                        del out[j]
+            if out:
+                waiting.setdefault(min(out), []).append(out)
+    return ech, pivots
 
 
 def kernel_and_pivots(
@@ -706,15 +694,16 @@ def kernel_and_pivots(
 ) -> tuple[list[tuple[GaussRat, ...]], list[int]]:
     """Exact right null space basis plus the pivot columns of the elimination.
 
-    One basis vector per free column, in column order; the basis is empty
-    exactly when the matrix is injective.  Back substitution walks only the
-    nonzero entries of each pivot row.
+    One basis vector per free column, in column order: 1 there and 0 at the
+    other free columns, so the basis depends on the row space only.  Back
+    substitution walks the nonzero entries of the monic pivot rows and
+    never divides.
     """
-    ech, pivots = _echelon(mat.nonzero, mat.cols)
+    ech, pivots = _echelon(mat.nonzero)
     pivot_set = set(pivots)
-    # (pivot column, pivot entry, the rest of the row), last pivot first
+    # (pivot column, the rest of the row), last pivot first
     steps = [
-        (c, row[c], [(j, a) for j, a in row.items() if j != c])
+        (c, [(j, a) for j, a in row.items() if j != c])
         for c, row in zip(reversed(pivots), reversed(ech))
     ]
     basis = []
@@ -722,14 +711,14 @@ def kernel_and_pivots(
         if free_col in pivot_set:
             continue
         x: dict[int, GaussRat] = {free_col: ONE}
-        for c, piv, rest in steps:
+        for c, rest in steps:
             acc = ZERO
             for j, a in rest:
                 v = x.get(j)
                 if v is not None:
                     acc = acc + a * v
             if acc:
-                x[c] = -acc / piv
+                x[c] = -acc
         basis.append(_dense(x, mat.cols))
     return basis, pivots
 
@@ -739,13 +728,14 @@ def kernel_basis(mat: Mat) -> list[tuple[GaussRat, ...]]:
 
 
 def row_basis(mat: Mat) -> tuple[list[tuple[GaussRat, ...]], list[int]]:
-    """Echelon basis of the row space plus the leading column of each basis row."""
-    ech, pivots = _echelon(mat.nonzero, mat.cols)
+    """Echelon basis of the row space plus the leading column of each basis
+    row: the monic pivot rows of `_echelon`, by increasing leading column."""
+    ech, pivots = _echelon(mat.nonzero)
     return [_dense(row, mat.cols) for row in ech], pivots
 
 
 def rank(mat: Mat) -> int:
-    return len(_echelon(mat.nonzero, mat.cols)[1])
+    return len(_echelon(mat.nonzero)[1])
 
 
 def commutant_basis(gens: Sequence[Mat]) -> list[Mat]:
@@ -758,18 +748,14 @@ def commutant_basis(gens: Sequence[Mat]) -> list[Mat]:
     entries (p, q) of X*g - g*X, in row-major order: the unknown X[i][j]
     meets g[j][q] in entry (i, q) and -g[p][i] in entry (p, j), so the
     equations are assembled per unknown from the stored rows of g and of
-    its transpose.  Equations with no nonzero coefficient are dropped, and
-    each other one is divided by its leading coefficient.
+    its transpose.  Equations with no nonzero coefficient are dropped.
 
-    Neither row order nor row scaling moves the pivot columns, and the
-    kernel vector of each free column is 1 there and 0 at the other free
-    columns, so the basis depends on the row space only; but the size of
-    the entries met during elimination depends on both.  For regular
-    shifts the monic equations in row-major order are +-1 incidence rows
-    and elimination keeps them so.  With repeated shifts the entries still
-    grow, since the elimination is not fraction-free; monic equations
-    shrink that growth on most inputs, not on all.  The result always
-    contains the identity direction.
+    The basis depends on the row space only (see `kernel_and_pivots`), and
+    the elimination keeps every entry a ratio of minors of this system, so
+    neither the order nor the scaling of the equations is needed to keep
+    entries small.  For regular shifts each equation is a multiple of a
+    +-1 incidence row, and so every pivot row is a +-1 row.  The result
+    always contains the identity direction.
     """
     mats = list(gens)
     if not mats:
@@ -807,8 +793,7 @@ def commutant_basis(gens: Sequence[Mat]) -> list[Mat]:
         for pos in sorted(eqs):
             eq = {t: x for t, x in eqs[pos].items() if x}
             if eq:
-                lead = eq[min(eq)]
-                rows.append(eq if lead == ONE else {t: x / lead for t, x in eq.items()})
+                rows.append(eq)
 
     vectors = kernel_basis(Mat._from_rows(rows, len(positions)))
     out = []

@@ -276,6 +276,14 @@ class TestFuzz:
         assert document["failures"] == []
         assert document["seed"] == 3
 
+    def test_smallest_counts_run(self):
+        result = run_cli(["fuzz", "--kmax", "1", "--lmax", "1", "--trials", "3"])
+        assert result.exit_code == 0
+        assert "3/3 trials passed" in result.stdout
+        result = run_cli(["fuzz", "--trials", "0"])
+        assert result.exit_code == 0
+        assert "0/0 trials passed" in result.stdout
+
 
 VERBS = (
     "construct",
@@ -308,6 +316,11 @@ class TestUsageErrors:
             ["verify", "--bogus", "rep.json"],
             ["split", "--js", "rep.json"],
             ["fuzz", "--trials", "x"],
+            ["fuzz", "--kmax", "0"],
+            ["fuzz", "--lmax", "0"],
+            ["fuzz", "--kmax", "-1"],
+            ["fuzz", "--lmax", "-3"],
+            ["fuzz", "--trials", "-3"],
         ],
     )
     def test_exits_2_without_output(self, args):

@@ -24,6 +24,7 @@ from periplectic import (
     ZERO,
     build_rep,
     canonical_form,
+    gauss_from_json,
     gauss_to_json,
     group_act,
     indecomposable,
@@ -223,20 +224,33 @@ class TestSparseElimination:
         assert all(in_span(list(m.entries), v) for v in rows)
         assert all(in_span(rows, v) for v in m.entries)
 
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_matrices())
+    def test_pivot_rows_are_monic(self, m):
+        rows, leads = row_basis(m)
+        assert leads == rref(_pairs(m.entries), m.cols)[1]
+        assert all(a < b for a, b in zip(leads, leads[1:]))
+        for row, c in zip(_pairs(rows), leads):
+            assert row[c] == (1, 0)
+            assert all(x == (0, 0) for x in row[:c])
+        assert oracle_rank(Mat(rows + list(m.entries), cols=m.cols)) == len(rows) == rank(m)
+
     def test_zero_and_duplicate_rows_keep_pivot_order(self):
-        # the first pivot swaps places with the leading zero row, so (0, 1, 2)
-        # stays ahead of (0, 3, 1); with the zero row dropped, the swap would
-        # put (0, 3, 1) first and make it the second pivot row
+        # rows wait under their leading column in arrival order, so (0, 1, 2)
+        # becomes the pivot row of column 1 ahead of (0, 3, 1), which is
+        # reduced to (0, 0, -5) and then divided by its pivot; the zero row
+        # and the duplicate drop out
         m = Mat([[0, 0, 0], [0, 1, 2], [0, 3, 1], [1, 0, 0], [0, 1, 2]])
         rows, leads = row_basis(m)
         assert leads == [0, 1, 2]
-        assert rows[0] == (ONE, ZERO, ZERO)
-        assert rows[1] == (ZERO, ONE, q(2))
+        assert rows == [(ONE, ZERO, ZERO), (ZERO, ONE, q(2)), (ZERO, ZERO, ONE)]
         assert rank(m) == 3
 
 
 # a core module whose split witness has rows with several nonzero entries;
-# the bytes are the `split --json` output of the dense implementation
+# the bytes are the `split --json` output with monic image rows (the dense
+# implementation wrote the image rows [2, 1-2i] and [0, -2-i], which span
+# the same space)
 PINNED_CORE = make_split_core(
     a_free=[q(4)],
     b_free=[q(1, 1)],
@@ -244,13 +258,13 @@ PINNED_CORE = make_split_core(
     coupling_up=Mat([[3]]),
     coupling_down=Mat([[2, q(0, 1), 1], [q(1, -2), 0, 3]]),
 )
-PINNED_SPLIT_SHA256 = "4b105dbe82aa418c8fffa36fb6e2039c1f8fa9f1ac84d1912fc51f382b6dd4b6"
+PINNED_SPLIT_SHA256 = "2ccb5d0a8cec3aeace114b38497e4014d553b0a376a87b2aed132cac13293df0"
 PINNED_WITNESS = [
     [
         [["0/1", "0/1"], ["1/1", "0/1"]] + [["0/1", "0/1"]] * 5,
         [["0/1", "0/1"]] * 2 + [["1/1", "0/1"]] + [["0/1", "0/1"]] * 4,
-        [["0/1", "0/1"]] * 5 + [["2/1", "0/1"], ["1/1", "-2/1"]],
-        [["0/1", "0/1"]] * 6 + [["-2/1", "-1/1"]],
+        [["0/1", "0/1"]] * 5 + [["1/1", "0/1"], ["1/2", "-1/1"]],
+        [["0/1", "0/1"]] * 6 + [["1/1", "0/1"]],
     ],
     [
         [["1/1", "0/1"]] + [["0/1", "0/1"]] * 6,
@@ -266,8 +280,14 @@ def test_split_json_bytes_are_pinned(tmp_path):
     path.write_text(json.dumps(rep_to_json(PINNED_CORE)))
     result = run_cli(["split", "--json", str(path)])
     assert result.exit_code == 0
-    assert json.loads(result.stdout)["core_split"]["witness"] == PINNED_WITNESS
-    assert len(result.stdout) == 14700
+    witness = json.loads(result.stdout)["core_split"]["witness"]
+    assert witness == PINNED_WITNESS
+    decoded = tuple(
+        tuple(tuple(gauss_from_json(x) for x in vec) for vec in part) for part in witness
+    )
+    _check_split(PINNED_CORE, decoded)
+    assert oracle_split_ok(PINNED_CORE, decoded)
+    assert len(result.stdout) == 14698
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == PINNED_SPLIT_SHA256
 
 
