@@ -331,14 +331,13 @@ def indecomposable(seed: Seed) -> Verdict:
         raise ShapeError("empty seed")
     if n == 1:
         return Verdict(INDECOMPOSABLE, "one-dimensional modules are indecomposable")
-    report = analyze(seed.coupling)
-    regular = is_regular(seed.eigenvalues, k, l)
-    if regular and report.is_rhizomatic:
+    components = bipartite_components(seed.coupling)
+    # with n >= 2, a single component means the coupling is rhizomatic
+    if len(components) == 1 and is_regular(seed.eigenvalues, k, l):
         return Verdict(
             INDECOMPOSABLE,
             "regular shifts with a rhizomatic coupling force a scalar endomorphism algebra",
         )
-    components = bipartite_components(seed.coupling)
     if len(components) >= 2:
         witness = _component_witness(components, k, n)
         _check_split(build_rep(seed), witness)
@@ -347,8 +346,7 @@ def indecomposable(seed: Seed) -> Verdict:
             f"the coupling pattern splits into {len(components)} independent blocks",
             witness,
         )
-    # a single component with n >= 2 means the coupling is rhizomatic,
-    # so the shifts must be the obstruction from here on
+    # the coupling is rhizomatic, so the shifts are the obstruction
     if k == 1 or l == 1:
         witness = _repeat_witness(seed)
         _check_split(build_rep(seed), witness)

@@ -30,6 +30,7 @@ from .classify import (
     endo_report,
     group_act,
     indecomposable,
+    is_regular,
     isomorphic,
     split_core,
     split_weight_blocks,
@@ -52,6 +53,8 @@ def _read_text(path: str) -> str:
             return handle.read()
     except OSError as exc:
         _fail(2, f"{path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        _fail(2, f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}")
 
 
 def _parse_json(text: str, origin: str) -> object:
@@ -59,6 +62,8 @@ def _parse_json(text: str, origin: str) -> object:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         _fail(2, f"{origin}:{exc.lineno}:{exc.colno}: {exc.msg}")
+    except RecursionError:
+        _fail(2, f"{origin}: JSON nested too deeply")
 
 
 def _load_seed(path: str) -> Seed:
@@ -338,10 +343,10 @@ def _fuzz_trial(rng: random.Random, kmax: int, lmax: int) -> list[str]:
         problems.append("e block disagrees with the entrywise formula")
     if not e_sandwich_zero(rep, random_polynomial(rng)):
         problems.append("e * f(y1, y2) * e is nonzero")
-    rhz = analyze(seed.coupling)
-    n_parts = len(bipartite_components(seed.coupling))
-    if n_parts != rhz.n_classes + rhz.zero_rows + rhz.zero_cols:
-        problems.append("component count disagrees with class and zero counts")
+    if is_regular(seed.eigenvalues, seed.k, seed.l):
+        n_parts = len(bipartite_components(seed.coupling))
+        if endo_report(rep).dimension != n_parts:
+            problems.append("endomorphism dimension disagrees with the component count")
     if rep_from_json(rep_to_json(rep)) != rep:
         problems.append("module does not survive a serialization round trip")
     if e_nonzero_guarantee(seed) and e_is_zero(rep):

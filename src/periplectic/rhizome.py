@@ -6,12 +6,11 @@ and every row and every column carries at least one of them.  The same data
 is visible in the bipartite graph on row and column vertices with an edge
 per nonzero entry: the number of connected components there equals the
 number of entry classes plus the number of zero rows plus the number of
-zero columns.
+zero columns.  One breadth-first walk of that graph gives the classes, the
+components and the spanning tree that scaling normalization gauges along.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 from .errors import CodecError, PreconditionError
 from .linalg import GaussRat, Mat, ONE, ZERO
@@ -28,22 +27,47 @@ __all__ = [
 ]
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
+def _walk(
+    matrix: Mat,
+) -> tuple[list[tuple[tuple[int, ...], tuple[int, ...]]], list[int], list[tuple[int, int]]]:
+    """Breadth-first walk of the row/column graph, one edge per nonzero entry.
 
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
+    A new component starts at each unvisited row, then at each unvisited
+    column, and neighbours are visited in index order.  Returns the
+    components as (row indices, column indices), each row's component
+    index, and the (row, column) edges that discovered a vertex, in
+    visiting order.
+    """
+    k = matrix.rows
+    # transpose rows list their keys in ascending order
+    row_nz, col_nz = matrix.nonzero, matrix.transpose().nonzero
+    # vertices 0..k-1 are the rows, k + j is column j
+    component = [-1] * (k + matrix.cols)
+    components = []
+    tree: list[tuple[int, int]] = []
+    for start in range(len(component)):
+        if component[start] >= 0:
+            continue
+        index = len(components)
+        component[start] = index
+        order = [start]
+        for v in order:
+            if v < k:
+                for j in sorted(row_nz[v]):
+                    if component[k + j] < 0:
+                        component[k + j] = index
+                        tree.append((v, j))
+                        order.append(k + j)
+            else:
+                for i in col_nz[v - k]:
+                    if component[i] < 0:
+                        component[i] = index
+                        tree.append((i, v - k))
+                        order.append(i)
+        rows = tuple(sorted(v for v in order if v < k))
+        cols = tuple(sorted(v - k for v in order if v >= k))
+        components.append((rows, cols))
+    return components, component[:k], tree
 
 
 class RhizomeReport(Record):
@@ -57,34 +81,20 @@ class RhizomeReport(Record):
 
 
 def analyze(matrix: Mat) -> RhizomeReport:
-    """Union-find over the nonzero entries, merging along rows and columns.
+    """Entry classes are the components that hold an edge; zero rows and
+    zero columns are the edgeless ones.
 
     Class labels number the classes by first appearance in row-major order.
     """
-    positions = [(i, j) for i, row in enumerate(matrix.nonzero) for j in sorted(row)]
-    index = {pos: t for t, pos in enumerate(positions)}
-    uf = _UnionFind(len(positions))
-    by_row: dict[int, int] = {}
-    by_col: dict[int, int] = {}
-    for t, (i, j) in enumerate(positions):
-        if i in by_row:
-            uf.union(by_row[i], t)
-        else:
-            by_row[i] = t
-        if j in by_col:
-            uf.union(by_col[j], t)
-        else:
-            by_col[j] = t
+    components, row_component, _ = _walk(matrix)
     labels: dict[tuple[int, int], int] = {}
-    root_label: dict[int, int] = {}
-    for pos in positions:
-        root = uf.find(index[pos])
-        if root not in root_label:
-            root_label[root] = len(root_label)
-        labels[pos] = root_label[root]
-    n_classes = len(root_label)
-    zero_rows = matrix.rows - len(by_row)
-    zero_cols = matrix.cols - len(by_col)
+    class_of: dict[int, int] = {}
+    for i, row in enumerate(matrix.nonzero):
+        for j in sorted(row):
+            labels[(i, j)] = class_of.setdefault(row_component[i], len(class_of))
+    n_classes = len(class_of)
+    zero_rows = sum(not cols for _, cols in components)
+    zero_cols = sum(not rows for rows, _ in components)
     return RhizomeReport(
         n_classes=n_classes,
         zero_rows=zero_rows,
@@ -100,41 +110,7 @@ def bipartite_components(matrix: Mat) -> list[tuple[tuple[int, ...], tuple[int, 
     Each component is returned as (row indices, column indices), ordered by
     the smallest vertex it contains; rows come before columns.
     """
-    k, l = matrix.rows, matrix.cols
-    row_nz, col_nz = matrix.nonzero, matrix.transpose().nonzero
-    seen_rows = [False] * k
-    seen_cols = [False] * l
-    components = []
-
-    def walk(kind0: str, v0: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        rows_here: list[int] = []
-        cols_here: list[int] = []
-        queue: deque[tuple[str, int]] = deque([(kind0, v0)])
-        while queue:
-            kind, x = queue.popleft()
-            if kind == "r":
-                rows_here.append(x)
-                for j in row_nz[x]:
-                    if not seen_cols[j]:
-                        seen_cols[j] = True
-                        queue.append(("c", j))
-            else:
-                cols_here.append(x)
-                for i in col_nz[x]:
-                    if not seen_rows[i]:
-                        seen_rows[i] = True
-                        queue.append(("r", i))
-        return tuple(sorted(rows_here)), tuple(sorted(cols_here))
-
-    for v in range(k):
-        if not seen_rows[v]:
-            seen_rows[v] = True
-            components.append(walk("r", v))
-    for v in range(l):
-        if not seen_cols[v]:
-            seen_cols[v] = True
-            components.append(walk("c", v))
-    return components
+    return _walk(matrix)[0]
 
 
 class ScalingNormalization(Record):
@@ -158,30 +134,21 @@ def scaling_normalize(matrix: Mat) -> ScalingNormalization:
     row/column scaling action, and the normalized matrix itself is the
     unique member of the scaling orbit with ones along the tree.
     """
-    if not analyze(matrix).is_rhizomatic:
+    components, _, tree = _walk(matrix)
+    # rhizomatic: a single component, and it holds an edge
+    if len(components) != 1 or not tree:
         raise PreconditionError("scaling normalization needs a rhizomatic matrix")
     k, l = matrix.rows, matrix.cols
-    # transpose rows list their keys in ascending order
-    row_nz, col_nz = matrix.nonzero, matrix.transpose().nonzero
+    row_nz = matrix.nonzero
     xi: list[GaussRat | None] = [None] * k
     phi: list[GaussRat | None] = [None] * l
     xi[0] = ONE
-    tree: list[tuple[int, int]] = []
-    queue: deque[tuple[str, int]] = deque([("r", 0)])
-    while queue:
-        kind, x = queue.popleft()
-        if kind == "r":
-            for j in sorted(row_nz[x]):
-                if phi[j] is None:
-                    phi[j] = (xi[x] * row_nz[x][j]).inverse()
-                    tree.append((x, j))
-                    queue.append(("c", j))
+    # each tree edge gauges the one endpoint that is not gauged yet
+    for i, j in tree:
+        if xi[i] is None:
+            xi[i] = (phi[j] * row_nz[i][j]).inverse()
         else:
-            for i, y in col_nz[x].items():
-                if xi[i] is None:
-                    xi[i] = (phi[x] * y).inverse()
-                    tree.append((i, x))
-                    queue.append(("r", i))
+            phi[j] = (xi[i] * row_nz[i][j]).inverse()
     rows = [{j: xi[i] * phi[j] * x for j, x in row.items()} for i, row in enumerate(row_nz)]
     return ScalingNormalization(
         tree_edges=tuple(tree),

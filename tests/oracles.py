@@ -5,8 +5,9 @@ is plain divide-by-pivot Gauss-Jordan instead of the library's elimination,
 and it computes on (re, im) pairs of stdlib Fractions rather than on
 GaussRat, converting only where an oracle takes or returns library values;
 the commutant system is assembled over all matrix positions with no
-presolve, and isomorphism is decided by enumerating permutations and
-propagating scalings along the zero pattern.
+presolve; isomorphism is decided by enumerating permutations and
+propagating scalings along the zero pattern; and zero-pattern classes and
+components come from a dense flood fill rather than the library's walk.
 """
 
 from __future__ import annotations
@@ -195,6 +196,49 @@ def _scaling_match(
                         xi[i] = want
                         queue.append(("r", i))
     return True
+
+
+def oracle_zero_pattern(mat: Mat) -> tuple[
+    list[list[tuple[int, int]]],
+    list[int],
+    list[int],
+    list[tuple[tuple[int, ...], tuple[int, ...]]],
+]:
+    """Entry classes, zero rows, zero columns and row/column components of
+    the zero pattern, by depth-first flood fill over the dense grid.
+
+    Two cells are joined when they share a row or a column, tested against
+    every other cell.  Classes list their cells in row-major order and come
+    in the order of their first cell.  Components are (rows, columns): one
+    per class, one per zero row and one per zero column, ordered by their
+    smallest vertex with rows before columns.
+    """
+    grid = mat.entries
+    cells = [(i, j) for i, row in enumerate(grid) for j, x in enumerate(row) if x]
+    found: set[tuple[int, int]] = set()
+    classes: list[list[tuple[int, int]]] = []
+    for cell in cells:
+        if cell in found:
+            continue
+        found.add(cell)
+        members, stack = [], [cell]
+        while stack:
+            i, j = stack.pop()
+            members.append((i, j))
+            for other in cells:
+                if other not in found and (other[0] == i or other[1] == j):
+                    found.add(other)
+                    stack.append(other)
+        classes.append(sorted(members))
+    zero_rows = [i for i in range(mat.rows) if not any(grid[i])]
+    zero_cols = [j for j in range(mat.cols) if not any(row[j] for row in grid)]
+    components = [
+        (tuple(sorted({i for i, _ in members})), tuple(sorted({j for _, j in members})))
+        for members in classes
+    ]
+    components += [((i,), ()) for i in zero_rows] + [((), (j,)) for j in zero_cols]
+    components.sort(key=lambda part: (0, part[0][0]) if part[0] else (1, part[1][0]))
+    return classes, zero_rows, zero_cols, components
 
 
 def brute_force_isomorphic(seed1: Seed, seed2: Seed) -> bool:

@@ -144,6 +144,24 @@ class TestInputErrors:
         result = run_cli(["construct", "no-such-file.json"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("verb", ["construct", "rhizome"])
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"\xff\xfe{", "not UTF-8 text: invalid start byte at byte 0"),
+            # opens like a seed document, so rhizome parses it as JSON too
+            (b'{"S": ' + b"[" * 100_000, "JSON nested too deeply"),
+        ],
+        ids=["invalid_utf8", "deep_nesting"],
+    )
+    def test_malformed_file_exits_2(self, tmp_path, verb, content, message):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        result = run_cli([verb, str(path)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == f"{path}: {message}\n"
+
 
 class TestRhizome:
     def test_pattern_grid(self, tmp_path):

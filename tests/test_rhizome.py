@@ -5,12 +5,14 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from periplectic import (
     CodecError,
     GaussRat,
     Mat,
     PreconditionError,
+    ZERO,
     analyze,
     bipartite_components,
     format_pattern,
@@ -18,6 +20,8 @@ from periplectic import (
     scaling_normalize,
 )
 from periplectic.sampling import random_matrix, random_rhizomatic_matrix
+
+from oracles import oracle_zero_pattern
 
 # Three 7x10 reference patterns exercising every failure mode: two entry
 # classes, a single class with uncovered rows and columns, and a rhizomatic
@@ -152,6 +156,92 @@ class TestBipartiteComponents:
                 assert lookup[("r", i)] == lookup[("c", j)]
                 same = [p for p, lab in labels.items() if lab == label]
                 assert len({lookup[("r", i)] for i, _ in same}) == 1
+
+
+def _forest_cells(draw, rows: int, cols: int) -> set[tuple[int, int]]:
+    """Cells of a spanning forest: the vertices in a drawn order, cut into
+    1-3 runs; in each run holding both kinds, every vertex is attached to a
+    drawn earlier vertex of the other kind (the first row and the first
+    column to each other).  A run of one kind stays isolated."""
+    order = draw(st.permutations([(0, i) for i in range(rows)] + [(1, j) for j in range(cols)]))
+    cuts = sorted(draw(st.lists(st.integers(1, len(order) - 1), max_size=2)))
+    cells: set[tuple[int, int]] = set()
+    for run in (order[a:b] for a, b in zip([0, *cuts], [*cuts, len(order)])):
+        first = {kind: x for kind, x in reversed(run)}
+        if len(first) < 2:
+            continue
+        placed = {0: [first[0]], 1: [first[1]]}
+        cells.add((first[0], first[1]))
+        for kind, x in run:
+            if x == first[kind]:
+                continue
+            y = draw(st.sampled_from(placed[1 - kind]))
+            cells.add((x, y) if kind == 0 else (y, x))
+            placed[kind].append(x)
+    return cells
+
+
+@st.composite
+def sparse_patterns(draw) -> Mat:
+    """0-8 rows and columns of small nonzero Gaussian integers on a sparse
+    set of cells; half the draws with rows and columns add a spanning
+    forest, so rhizomatic patterns and several classes are both common."""
+    rows, cols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    cells: set[tuple[int, int]] = set()
+    if rows and cols:
+        cell = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+        cells = draw(st.sets(cell, max_size=rows * cols // 4 + 1))
+        if draw(st.booleans()):
+            cells |= _forest_cells(draw, rows, cols)
+    value = st.builds(GaussRat, st.integers(-3, 3), st.integers(-3, 3)).filter(bool)
+    grid = [[ZERO] * cols for _ in range(rows)]
+    for i, j in sorted(cells):
+        grid[i][j] = draw(value)
+    return Mat(grid, cols=cols)
+
+
+class TestAgainstFloodFill:
+    """The functions derived from the library's walk against a dense flood
+    fill that shares no code with it."""
+
+    @given(sparse_patterns())
+    @settings(max_examples=300, deadline=None)
+    def test_analyze(self, m):
+        classes, zero_rows, zero_cols, _ = oracle_zero_pattern(m)
+        report = analyze(m)
+        assert report.n_classes == len(classes)
+        assert report.zero_rows == len(zero_rows)
+        assert report.zero_cols == len(zero_cols)
+        assert report.is_rhizomatic == (len(classes) == 1 and not zero_rows and not zero_cols)
+        expected = {cell: t for t, members in enumerate(classes) for cell in members}
+        assert report.class_labels == expected
+
+    @given(sparse_patterns())
+    @settings(max_examples=300, deadline=None)
+    def test_bipartite_components(self, m):
+        assert bipartite_components(m) == oracle_zero_pattern(m)[3]
+
+    @given(sparse_patterns())
+    @settings(max_examples=300, deadline=None)
+    def test_scaling_normalize(self, m):
+        classes, zero_rows, zero_cols, _ = oracle_zero_pattern(m)
+        if len(classes) != 1 or zero_rows or zero_cols:
+            with pytest.raises(PreconditionError):
+                scaling_normalize(m)
+            return
+        result = scaling_normalize(m)
+        tree = result.tree_edges
+        assert len(tree) == m.rows + m.cols - 1
+        for i, j in tree:
+            assert m[i, j]
+            assert result.normalized[i, j] == GaussRat(1)
+        assert result.row_scalars[0] == GaussRat(1)
+        # the edges span: their own pattern is a single class covering everything
+        tree_pattern = Mat(
+            [[int((i, j) in tree) for j in range(m.cols)] for i in range(m.rows)], cols=m.cols
+        )
+        tree_classes, tree_zero_rows, tree_zero_cols, _ = oracle_zero_pattern(tree_pattern)
+        assert len(tree_classes) == 1 and not tree_zero_rows and not tree_zero_cols
 
 
 class TestScalingNormalize:

@@ -13,10 +13,10 @@ import sys
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-import periplectic.classify as classify
 import periplectic.rhizome as rhizome
 from periplectic import (
     GaussRat,
+    INDECOMPOSABLE,
     Mat,
     ONE,
     PreconditionError,
@@ -292,29 +292,36 @@ def test_split_json_bytes_are_pinned(tmp_path):
 
 
 class TestSingleAnalysis:
+    """Each coupling is walked once: every rhizome function derives from
+    one breadth-first walk, `rhizome._walk`."""
+
     @pytest.fixture
-    def analyze_calls(self, monkeypatch):
+    def walks(self, monkeypatch):
         calls = []
-        analyze = rhizome.analyze
+        walk = rhizome._walk
 
         def counted(matrix):
             calls.append(matrix)
-            return analyze(matrix)
+            return walk(matrix)
 
-        monkeypatch.setattr(rhizome, "analyze", counted)
-        monkeypatch.setattr(classify, "analyze", counted)
+        monkeypatch.setattr(rhizome, "_walk", counted)
         return calls
 
     SEED = Seed(3, 2, Mat([[0, 1], [-3, 5], [2, 0]]), (q(0, 2), q(0, -2), q(1), q(-1), q(1)))
 
-    def test_isomorphic_analyzes_each_coupling_once(self, analyze_calls):
+    def test_isomorphic_analyzes_each_coupling_once(self, walks):
         acted = group_act(random_monomial_pair(random.Random(5), 3, 2), self.SEED)
         assert isomorphic(self.SEED, acted)
-        assert len(analyze_calls) == 2
+        assert len(walks) == 2
 
-    def test_canonical_form_analyzes_once(self, analyze_calls):
+    def test_canonical_form_analyzes_once(self, walks):
         canonical_form(self.SEED)
-        assert len(analyze_calls) == 1
+        assert len(walks) == 1
+
+    def test_indecomposable_walks_once(self, walks):
+        verdict = indecomposable(self.SEED)
+        assert verdict.value == INDECOMPOSABLE
+        assert len(walks) == 1
 
     def test_messages(self):
         split = Seed(2, 2, Mat.identity(2), (q(1), q(2), q(3), q(4)))
