@@ -67,7 +67,11 @@ def _parse_json(text: str, origin: str) -> object:
 
 
 def _load_seed(path: str) -> Seed:
-    data = _parse_json(_read_text(path), path)
+    return _seed_from_text(_read_text(path), path)
+
+
+def _seed_from_text(text: str, path: str) -> Seed:
+    data = _parse_json(text, path)
     try:
         return seed_from_json(data)
     except (CodecError, ShapeError) as exc:
@@ -197,7 +201,7 @@ def rhizome(input_file: str, as_json: bool) -> None:
     """
     text = _read_text(input_file)
     if text.lstrip().startswith("{"):
-        matrix = _load_seed(input_file).coupling
+        matrix = _seed_from_text(text, input_file).coupling
     else:
         try:
             matrix = parse_pattern(text)
@@ -349,13 +353,13 @@ def _fuzz_trial(rng: random.Random, kmax: int, lmax: int) -> list[str]:
             problems.append("endomorphism dimension disagrees with the component count")
     if rep_from_json(rep_to_json(rep)) != rep:
         problems.append("module does not survive a serialization round trip")
-    if e_nonzero_guarantee(seed) and e_is_zero(rep):
-        problems.append("guaranteed-nonzero e is zero")
     if e_nonzero_guarantee(seed):
-        g = random_monomial_pair(rng, seed.k, seed.l)
-        if canonical_form(group_act(g, seed)) != canonical_form(seed):
+        if e_is_zero(rep):
+            problems.append("guaranteed-nonzero e is zero")
+        acted = group_act(random_monomial_pair(rng, seed.k, seed.l), seed)
+        if canonical_form(acted) != canonical_form(seed):
             problems.append("canonical form moved under the group action")
-        if not isomorphic(seed, group_act(g, seed)):
+        if not isomorphic(seed, acted):
             problems.append("acted seed not isomorphic to the original")
     return problems
 

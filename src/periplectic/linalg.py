@@ -136,12 +136,19 @@ class GaussRat:
         return o - self
 
     def __mul__(self, other: object) -> "GaussRat":
+        """Product.  A factor of exactly +-1 yields the other operand itself,
+        or its negation, with no gcd; sharing is safe, as GaussRat is
+        immutable."""
         if other.__class__ is not GaussRat:
             other = _coerce(other)
             if other is None:
                 return NotImplemented
         a, b, d = self._a, self._b, self._d
         c, e, f = other._a, other._b, other._d
+        if f == 1 and not e and (c == 1 or c == -1):
+            return self if c == 1 else _make(-a, -b, d)
+        if d == 1 and not b and (a == 1 or a == -1):
+            return other if a == 1 else _make(-c, -e, f)
         return _reduce(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
@@ -154,12 +161,16 @@ class GaussRat:
         return _reduce(a * d, -b * d, norm)
 
     def __truediv__(self, other: object) -> "GaussRat":
+        """Quotient.  A divisor of exactly +-1 yields self or its negation,
+        with no gcd."""
         if other.__class__ is not GaussRat:
             other = _coerce(other)
             if other is None:
                 return NotImplemented
         a, b, d = self._a, self._b, self._d
         c, e, f = other._a, other._b, other._d
+        if f == 1 and not e and (c == 1 or c == -1):
+            return self if c == 1 else _make(-a, -b, d)
         norm = c * c + e * e
         if not norm:
             raise ZeroDivisionError("division by zero in Q(i)")
@@ -221,11 +232,16 @@ def _make(a: int, b: int, d: int) -> GaussRat:
 
 
 def _reduce(a: int, b: int, d: int) -> GaussRat:
-    """GaussRat (a + b*i)/d for ints with d > 0, divided by gcd(a, b, d)."""
+    """GaussRat (a + b*i)/d for ints with d > 0, divided by gcd(a, b, d).
+    It fills the slots itself, so a normalised result costs one call."""
     g = gcd(a, b, d)
     if g != 1:
-        return _make(a // g, b // g, d // g)
-    return _make(a, b, d)
+        a, b, d = a // g, b // g, d // g
+    x = _new_scalar(GaussRat)
+    _set_a(x, a)
+    _set_b(x, b)
+    _set_d(x, d)
+    return x
 
 
 def _coerce(value: object) -> GaussRat | None:
@@ -462,34 +478,36 @@ class Mat:
         )
 
     def __add__(self, other: "Mat") -> "Mat":
-        """Sum that walks only nonzero entries and drops those that cancel."""
+        return self._combine(other, False)
+
+    def __sub__(self, other: "Mat") -> "Mat":
+        return self._combine(other, True)
+
+    def _combine(self, other: object, subtract: bool) -> "Mat":
+        """self + other, or self - other when `subtract`, row by row: walks
+        only nonzero entries and drops those that cancel."""
         if not isinstance(other, Mat):
             return NotImplemented
         if self.shape != other.shape:
             raise ShapeError(f"cannot add {self.shape} and {other.shape}")
         out = []
         for ra, rb in zip(self.nonzero, other.nonzero):
-            if not ra or not rb:
+            if not rb or not (ra or subtract):
                 out.append(ra or rb)
                 continue
             acc = dict(ra)
             for j, y in rb.items():
                 x = acc.get(j)
                 if x is None:
-                    acc[j] = y
+                    acc[j] = -y if subtract else y
                 else:
-                    v = x + y
+                    v = x - y if subtract else x + y
                     if v:
                         acc[j] = v
                     else:
                         del acc[j]
             out.append(acc)
         return Mat._from_rows(out, self.cols)
-
-    def __sub__(self, other: "Mat") -> "Mat":
-        if not isinstance(other, Mat):
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, other: object) -> "Mat":
         if isinstance(other, Mat):
@@ -650,7 +668,9 @@ def _echelon(
     divided by its entry at c, is the pivot row, and every other row r
     becomes r - r[c] * pivot_row, evaluated only where r or the pivot row
     is nonzero, and waits again under its new leading column unless it is
-    zero.  So the result depends on the input order only.
+    zero.  So the result depends on the input order only.  The update
+    works on the (a, b, d) triples of the entries and normalises once per
+    stored entry.
 
     The pivot rows come out monic, by increasing pivot column.  Every entry
     met is a ratio of two minors of the input (Edmonds 1967), so entries
@@ -670,20 +690,27 @@ def _echelon(
             head = {j: x * inv for j, x in head.items()}
         ech.append(head)
         pivots.append(c)
-        rest = [(j, y) for j, y in head.items() if j != c]
+        rest = [(j, y._a, y._b, y._d) for j, y in head.items() if j != c]
         for row in others:
-            neg = -row[c]
+            lead = row[c]
+            p, q, r = -lead._a, -lead._b, lead._d
             out = {j: x for j, x in row.items() if j != c}
-            for j, y in rest:
+            for j, ya, yb, yd in rest:
+                # (p + q*i)/r times the pivot entry, unreduced
+                ua, ub, ud = p * ya - q * yb, p * yb + q * ya, r * yd
                 x = out.get(j)
                 if x is None:
-                    out[j] = neg * y
+                    out[j] = _reduce(ua, ub, ud)
+                    continue
+                xa, xb, xd = x._a, x._b, x._d
+                if xd == ud:
+                    ua, ub = xa + ua, xb + ub
                 else:
-                    v = x + neg * y
-                    if v:
-                        out[j] = v
-                    else:
-                        del out[j]
+                    ua, ub, ud = xa * ud + ua * xd, xb * ud + ub * xd, xd * ud
+                if ua or ub:
+                    out[j] = _reduce(ua, ub, ud)
+                else:
+                    del out[j]
             if out:
                 waiting.setdefault(min(out), []).append(out)
     return ech, pivots

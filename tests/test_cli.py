@@ -181,6 +181,18 @@ class TestRhizome:
             "is_rhizomatic": True,
         }
 
+    def test_seed_file_is_read_once(self, seed_file, monkeypatch):
+        """The seed is parsed from the text read to tell it from a grid."""
+        from periplectic import cli
+
+        reads = []
+        read_text = cli._read_text
+        monkeypatch.setattr(cli, "_read_text", lambda path: reads.append(path) or read_text(path))
+        result = run_cli(["rhizome", seed_file, "--json"])
+        assert result.exit_code == 0
+        assert json.loads(result.stdout)["n_classes"] == 1
+        assert reads == [seed_file]
+
     def test_bad_pattern_character(self, tmp_path):
         path = _write(tmp_path, "pattern.txt", "*.\n?*\n")
         result = run_cli(["rhizome", path])

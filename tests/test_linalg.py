@@ -163,6 +163,17 @@ class TestAgainstFractionPairs:
             assert to_pair(gy.inverse()) == pair_inverse(y)
             assert to_pair(gx / gy) == pair_mul(x, pair_inverse(y))
 
+    @given(pairs, st.sampled_from([1, -1]), st.sampled_from([GaussRat, int, Fraction]))
+    def test_unit_factors_and_divisors(self, x, u, kind):
+        """A factor of exactly +-1 on either side of `*`, or a divisor of
+        exactly +-1, as a GaussRat, an int or a Fraction."""
+        gx, unit, pu = GaussRat(*x), kind(u), (Fraction(u), Fraction(0))
+        product, quotient = pair_mul(x, pu), pair_mul(x, pair_inverse(pu))
+        for result, expected in [(gx * unit, product), (unit * gx, product), (gx / unit, quotient)]:
+            assert to_pair(result) == expected
+            assert type(result) is GaussRat
+            assert hash(result) == hash(GaussRat(*expected))
+
     @given(pairs, pairs)
     def test_comparison_hash_and_text(self, x, y):
         gx, gy = GaussRat(*x), GaussRat(*y)

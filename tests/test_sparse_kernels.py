@@ -183,16 +183,21 @@ class TestCheckSplit:
 
 @st.composite
 def sparse_matrices(draw):
-    """At least 70% zeros, with a zero row and a duplicated row."""
+    """At least 70% zeros, with a zero row and a duplicated row.  Entries
+    of exactly 1 and -1 are drawn often, so that pivots of +-1 and updates
+    that cancel come up."""
     rows = draw(st.integers(1, 7))
     cols = draw(st.integers(1, 8))
     cells = draw(
         st.dictionaries(
             st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1)),
-            st.builds(
-                GaussRat,
-                st.fractions(min_value=-9, max_value=9, max_denominator=6),
-                st.fractions(min_value=-9, max_value=9, max_denominator=6),
+            st.one_of(
+                st.sampled_from([ONE, -ONE]),
+                st.builds(
+                    GaussRat,
+                    st.fractions(min_value=-9, max_value=9, max_denominator=6),
+                    st.fractions(min_value=-9, max_value=9, max_denominator=6),
+                ),
             ),
             max_size=max(1, rows * cols // 4),
         )
