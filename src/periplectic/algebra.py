@@ -195,16 +195,23 @@ def rep_to_json(rep: Rep) -> dict:
     }
 
 
-def rep_from_json(data: object) -> Rep:
+def _sizes_from_json(data: object, keys: set[str], noun: str) -> tuple[int, int]:
+    """The k and l of a JSON object that must hold `keys`; raises
+    CodecError naming the `noun` when it is not such an object."""
     if not isinstance(data, dict):
-        raise CodecError(f"expected a JSON object for a representation, got {data!r}")
-    missing = {"k", "l", "y1", "y2", "s", "e"} - set(data)
+        raise CodecError(f"expected a JSON object for a {noun}, got {data!r}")
+    missing = keys - set(data)
     if missing:
-        raise CodecError(f"representation object lacks keys {sorted(missing)}")
+        raise CodecError(f"{noun} object lacks keys {sorted(missing)}")
     k, l = data["k"], data["l"]
     # a JSON true or false would pass as an int
     if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in (k, l)):
         raise CodecError("k and l must be non-negative integers")
+    return k, l
+
+
+def rep_from_json(data: object) -> Rep:
+    k, l = _sizes_from_json(data, {"k", "l", "y1", "y2", "s", "e"}, "representation")
     n = k + l
     mats = {
         name: mat_from_json(data[name], rows=n, cols=n)

@@ -218,8 +218,8 @@ def _check_split(
     generator's block from its coordinates into the other part's is zero.
     Otherwise one rank of the stacked witness checks complementarity (with n
     vectors in all, rank n also makes each part independent), and for each
-    part one rank of the part stacked with its images under all four
-    generators (a single Mat product) checks invariance.
+    part one rank of the part stacked with its images under the four
+    generators checks invariance.
     """
     part1, part2 = witness
     n = rep.dim
@@ -242,17 +242,13 @@ def _check_split(
         return
     if rank(Mat(list(part1) + list(part2), cols=n)) != n:
         raise PreconditionError(not_complementary)
-    # row t of part * gens_t is (y1 v, y2 v, s v, e v) for the t-th vector v
-    gens_t = Mat.block([[m.transpose() for m in rep.generators()]])
+    gens_t = [m.transpose() for m in rep.generators()]
     for part in (part1, part2):
         space = Mat(list(part), cols=n)
+        # row t of space * m^T is m v for the t-th vector v
         rows = list(space.nonzero)
-        for row in (space * gens_t).nonzero:
-            images: list[dict[int, GaussRat]] = [{} for _ in range(4)]
-            for j, x in row.items():
-                g, c = divmod(j, n)
-                images[g][c] = x
-            rows.extend(images)
+        for m_t in gens_t:
+            rows.extend((space * m_t).nonzero)
         if rank(Mat._from_rows(rows, n)) != len(part):
             raise PreconditionError(moved)
 
@@ -297,7 +293,7 @@ def _repeat_witness(seed: Seed) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]
             part2.append(tuple(vec))
             part1.extend(_unit(n, t) for t in members[1:])
         part2.append(_unit(n, k))
-    elif k == 1:
+    else:  # k == 1
         for t, val in enumerate(seed.b):
             groups.setdefault(val, []).append(t)
         weights = [seed.coupling[0, j] for j in range(l)]
@@ -310,8 +306,6 @@ def _repeat_witness(seed: Seed) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]
                 diff[1 + t] = weights[head]
                 diff[1 + head] = -weights[t]
                 part1.append(tuple(diff))
-    else:
-        raise PreconditionError("repeat witness applies only when k = 1 or l = 1")
     return tuple(part1), tuple(part2)
 
 
@@ -502,26 +496,13 @@ def split_weight_blocks(rep: Rep) -> tuple[WeightBlockPartition, Rep, Rep | None
                 )
 
     partition = WeightBlockPartition(tuple(plus), tuple(minus), tuple(blocks))
-    core_idx = plus + minus
-    core = Rep(
-        len(plus),
-        len(minus),
-        y1=rep.y1.submatrix(core_idx, core_idx),
-        y2=rep.y2.submatrix(core_idx, core_idx),
-        s=rep.s.submatrix(core_idx, core_idx),
-        e=rep.e.submatrix(core_idx, core_idx),
-    )
+
+    def restrict(k: int, idx: list[int]) -> Rep:
+        return Rep(k, len(idx) - k, *(m.submatrix(idx, idx) for m in rep.generators()))
+
+    core = restrict(len(plus), plus + minus)
     rest_idx = [i for _, bp, bm in blocks for i in (*bp, *bm)]
-    rest = None
-    if rest_idx:
-        rest = Rep(
-            sum(len(bp) for _, bp, _ in blocks),
-            sum(len(bm) for _, _, bm in blocks),
-            y1=rep.y1.submatrix(rest_idx, rest_idx),
-            y2=rep.y2.submatrix(rest_idx, rest_idx),
-            s=rep.s.submatrix(rest_idx, rest_idx),
-            e=rep.e.submatrix(rest_idx, rest_idx),
-        )
+    rest = restrict(sum(len(bp) for _, bp, _ in blocks), rest_idx) if rest_idx else None
     return partition, core, rest
 
 

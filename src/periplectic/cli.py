@@ -9,14 +9,12 @@ print a human summary, or a machine document with --json.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import random
 import sys
 from typing import NoReturn
 
 from .algebra import (
-    Rep,
     e_is_zero,
     e_sandwich_zero,
     rep_from_json,
@@ -38,7 +36,7 @@ from .classify import (
 )
 from .errors import CodecError, PreconditionError, ShapeError
 from .linalg import gauss_to_json, mat_to_json
-from .reps import Seed, build_rep, entrywise_e, seed_from_json
+from .reps import build_rep, entrywise_e, seed_from_json
 from .rhizome import analyze, bipartite_components, parse_pattern
 
 
@@ -57,46 +55,22 @@ def _read_text(path: str) -> str:
         _fail(2, f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}")
 
 
-def _parse_json(text: str, origin: str) -> object:
+def _load(path: str, decode, text: str | None = None):
+    """Parse the JSON text of `path` (read here unless given) and decode it;
+    input that cannot be parsed or decoded exits 2 with one `path: message`
+    line."""
+    if text is None:
+        text = _read_text(path)
     try:
-        return json.loads(text)
+        return decode(json.loads(text))
     except json.JSONDecodeError as exc:
-        _fail(2, f"{origin}:{exc.lineno}:{exc.colno}: {exc.msg}")
+        _fail(2, f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
     except RecursionError:
-        _fail(2, f"{origin}: JSON nested too deeply")
-
-
-def _load_seed(path: str) -> Seed:
-    return _seed_from_text(_read_text(path), path)
-
-
-def _seed_from_text(text: str, path: str) -> Seed:
-    data = _parse_json(text, path)
-    try:
-        return seed_from_json(data)
-    except (CodecError, ShapeError) as exc:
+        _fail(2, f"{path}: JSON nested too deeply")
+    except ValueError as exc:
+        # a CodecError or ShapeError of the decoder, or an integer past the
+        # interpreter's int-to-str digit limit
         _fail(2, f"{path}: {exc}")
-
-
-def _load_rep(path: str) -> Rep:
-    data = _parse_json(_read_text(path), path)
-    try:
-        return rep_from_json(data)
-    except (CodecError, ShapeError) as exc:
-        _fail(2, f"{path}: {exc}")
-
-
-def _guard(fn):
-    """Map hypothesis violations from the library onto exit code 3."""
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except (PreconditionError, ShapeError) as exc:
-            _fail(3, str(exc))
-
-    return wrapper
 
 
 def _dump(document: object) -> None:
@@ -152,18 +126,16 @@ def _command(name: str, *arguments: tuple):
 
 
 @_command("construct", _arg("seed_file"))
-@_guard
 def construct(seed_file: str) -> None:
     """Build the module of a seed file and print it as JSON."""
-    rep = build_rep(_load_seed(seed_file))
+    rep = build_rep(_load(seed_file, seed_from_json))
     _dump(rep_to_json(rep))
 
 
 @_command("verify", _arg("rep_file"), _JSON)
-@_guard
 def verify(rep_file: str, as_json: bool) -> None:
     """Check the nine defining relations; exit 0 iff all hold."""
-    report = verify_periplectic(_load_rep(rep_file))
+    report = verify_periplectic(_load(rep_file, rep_from_json))
     if as_json:
         _dump(
             {
@@ -193,7 +165,6 @@ def verify(rep_file: str, as_json: bool) -> None:
 
 
 @_command("rhizome", _arg("input_file"), _JSON)
-@_guard
 def rhizome(input_file: str, as_json: bool) -> None:
     """Zero-pattern analysis of a coupling matrix.
 
@@ -201,7 +172,7 @@ def rhizome(input_file: str, as_json: bool) -> None:
     """
     text = _read_text(input_file)
     if text.lstrip().startswith("{"):
-        matrix = _seed_from_text(text, input_file).coupling
+        matrix = _load(input_file, seed_from_json, text).coupling
     else:
         try:
             matrix = parse_pattern(text)
@@ -225,10 +196,9 @@ def rhizome(input_file: str, as_json: bool) -> None:
 
 
 @_command("indecomposable", _arg("seed_file"), _JSON)
-@_guard
 def indecomposable_cmd(seed_file: str, as_json: bool) -> None:
     """Classify the module of a seed as indecomposable, decomposable, or unknown."""
-    verdict = indecomposable(_load_seed(seed_file))
+    verdict = indecomposable(_load(seed_file, seed_from_json))
     if as_json:
         _dump(verdict_to_json(verdict))
     else:
@@ -242,10 +212,9 @@ def indecomposable_cmd(seed_file: str, as_json: bool) -> None:
 
 
 @_command("endo", _arg("rep_file"), _JSON)
-@_guard
 def endo(rep_file: str, as_json: bool) -> None:
     """Compute the endomorphism algebra of a module."""
-    report = endo_report(_load_rep(rep_file))
+    report = endo_report(_load(rep_file, rep_from_json))
     if as_json:
         _dump(
             {
@@ -260,10 +229,9 @@ def endo(rep_file: str, as_json: bool) -> None:
 
 
 @_command("canonical", _arg("seed_file"), _JSON)
-@_guard
 def canonical(seed_file: str, as_json: bool) -> None:
     """Print the canonical orbit representative of a regular rhizomatic seed."""
-    form = canonical_form(_load_seed(seed_file))
+    form = canonical_form(_load(seed_file, seed_from_json))
     if as_json:
         _dump(canonical_to_json(form))
     else:
@@ -273,10 +241,11 @@ def canonical(seed_file: str, as_json: bool) -> None:
 
 
 @_command("isomorphic", _arg("seed_file_1"), _arg("seed_file_2"), _JSON)
-@_guard
 def isomorphic_cmd(seed_file_1: str, seed_file_2: str, as_json: bool) -> None:
     """Decide isomorphism of two seeds' modules; exit 0 iff isomorphic."""
-    answer = isomorphic(_load_seed(seed_file_1), _load_seed(seed_file_2))
+    answer = isomorphic(
+        _load(seed_file_1, seed_from_json), _load(seed_file_2, seed_from_json)
+    )
     if as_json:
         _dump({"isomorphic": answer})
     else:
@@ -285,10 +254,9 @@ def isomorphic_cmd(seed_file_1: str, seed_file_2: str, as_json: bool) -> None:
 
 
 @_command("split", _arg("rep_file"), _JSON)
-@_guard
 def split(rep_file: str, as_json: bool) -> None:
     """Sort a calibrated module into weight blocks and try the core splitter."""
-    rep = _load_rep(rep_file)
+    rep = _load(rep_file, rep_from_json)
     report = verify_periplectic(rep)
     if not report.passed:
         v = report.violations[0]
@@ -422,7 +390,11 @@ def main(args: list[str] | None = None) -> NoReturn:
     with its code; a usage error exits 2."""
     options = vars(_parser().parse_args(args))
     verb = options.pop("verb")
-    main.commands[verb].callback(**options)
+    try:
+        main.commands[verb].callback(**options)
+    except (PreconditionError, ShapeError) as exc:
+        # input outside an operation's hypotheses
+        _fail(3, str(exc))
     sys.exit(0)
 
 

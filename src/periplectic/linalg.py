@@ -517,11 +517,8 @@ class Mat:
             return NotImplemented
         return self.scale(scalar)
 
-    def __rmul__(self, other: object) -> "Mat":
-        scalar = _coerce(other)
-        if scalar is None:
-            return NotImplemented
-        return self.scale(scalar)
+    # only a non-Mat left operand gets here, and scalars commute
+    __rmul__ = __mul__
 
     def scale(self, scalar: object) -> "Mat":
         c = as_gauss(scalar)

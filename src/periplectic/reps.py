@@ -9,7 +9,7 @@ nonzero shift pattern switches on the extra generator e.
 
 from __future__ import annotations
 
-from .algebra import Rep
+from .algebra import Rep, _sizes_from_json
 from .errors import CodecError, PreconditionError, ShapeError
 from .linalg import (
     GaussRat,
@@ -207,20 +207,9 @@ def seed_to_json(seed: Seed) -> dict:
 
 
 def seed_from_json(data: object) -> Seed:
-    if not isinstance(data, dict):
-        raise CodecError(f"expected a JSON object for a seed, got {data!r}")
-    missing = {"k", "l", "S", "ab"} - set(data)
-    if missing:
-        raise CodecError(f"seed object lacks keys {sorted(missing)}")
-    k, l = data["k"], data["l"]
-    # a JSON true or false would pass as an int
-    if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in (k, l)):
-        raise CodecError("k and l must be non-negative integers")
+    k, l = _sizes_from_json(data, {"k", "l", "S", "ab"}, "seed")
     coupling = mat_from_json(data["S"], rows=k, cols=l)
     ab = data["ab"]
     if not isinstance(ab, list) or len(ab) != k + l:
         raise CodecError(f"ab must list {k + l} values, got {ab!r}")
-    try:
-        return Seed(k, l, coupling, tuple(gauss_from_json(x) for x in ab))
-    except ShapeError as exc:
-        raise CodecError(str(exc)) from None
+    return Seed(k, l, coupling, tuple(gauss_from_json(x) for x in ab))

@@ -502,6 +502,22 @@ class TestSplitCore:
         with pytest.raises(PreconditionError, match="upper-left"):
             split_core(Rep(3, 2, rep.y1, rep.y2, Mat(grid, cols=5), rep.e))
 
+    def test_rejects_wrong_lower_right_block(self):
+        rep = build_rep(REFERENCE)
+        grid = [[rep.s[i, j] for j in range(5)] for i in range(5)]
+        grid[4][3] = q(1)
+        with pytest.raises(PreconditionError) as info:
+            split_core(Rep(3, 2, rep.y1, rep.y2, Mat(grid, cols=5), rep.e))
+        assert str(info.value) == "lower-right block of s is not the identity"
+
+    def test_rejects_non_diagonal_weights(self):
+        rep = build_rep(REFERENCE)
+        grid = [[rep.y1[i, j] for j in range(5)] for i in range(5)]
+        grid[0][1] = q(1)
+        with pytest.raises(PreconditionError) as info:
+            split_core(Rep(3, 2, Mat(grid, cols=5), rep.y2, rep.s, rep.e))
+        assert str(info.value) == "core splitting needs diagonal y1 and y2"
+
 
 class TestENonzeroGuarantee:
     def test_reference_seed(self):

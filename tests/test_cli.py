@@ -11,11 +11,20 @@ from pathlib import Path
 import pytest
 
 import periplectic
-from periplectic import GaussRat, Mat, Seed, build_rep, rep_to_json, seed_to_json
+from periplectic import (
+    GaussRat,
+    Mat,
+    PreconditionError,
+    Seed,
+    ShapeError,
+    build_rep,
+    rep_to_json,
+    seed_to_json,
+)
 from periplectic.cli import main
 
 from cli_runner import run_cli
-from oracles import make_split_core
+from oracles import direct_sum, make_split_core, make_weight_block
 
 REFERENCE = Seed(
     3,
@@ -51,6 +60,19 @@ def _write(tmp_path, name: str, content: str) -> str:
     path = tmp_path / name
     path.write_text(content)
     return str(path)
+
+
+def _json_error(text: bytes) -> str:
+    """The interpreter's own message for JSON it refuses to read."""
+    try:
+        json.loads(text)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError("text parses")
+
+
+# an integer literal past the interpreter's int-to-str digit limit
+LONG_INT = b'{"k": ' + b"1" * 5000 + b', "l": 1, "S": [], "ab": []}'
 
 
 class TestConstructVerify:
@@ -151,8 +173,9 @@ class TestInputErrors:
             (b"\xff\xfe{", "not UTF-8 text: invalid start byte at byte 0"),
             # opens like a seed document, so rhizome parses it as JSON too
             (b'{"S": ' + b"[" * 100_000, "JSON nested too deeply"),
+            (LONG_INT, _json_error(LONG_INT)),
         ],
-        ids=["invalid_utf8", "deep_nesting"],
+        ids=["invalid_utf8", "deep_nesting", "long_integer"],
     )
     def test_malformed_file_exits_2(self, tmp_path, verb, content, message):
         path = tmp_path / "bad.json"
@@ -161,6 +184,23 @@ class TestInputErrors:
         assert result.exit_code == 2
         assert result.stdout == ""
         assert result.stderr == f"{path}: {message}\n"
+
+    @pytest.mark.parametrize("verb", ["verify", "endo", "split"])
+    def test_sizes_past_digit_limit_exit_2(self, tmp_path, verb):
+        # k and l each parse, but k + l has one digit more than the
+        # int-to-str limit allows in the decoder's size message
+        big = "9" * sys.get_int_max_str_digits()
+        path = _write(
+            tmp_path,
+            "rep.json",
+            f'{{"k": {big}, "l": {big}, "y1": [], "y2": [], "s": [], "e": []}}',
+        )
+        with pytest.raises(ValueError) as info:
+            str(2 * int(big))
+        result = run_cli([verb, path])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == f"{path}: {info.value}\n"
 
 
 class TestRhizome:
@@ -224,6 +264,23 @@ class TestClassifyCommands:
         assert document["all_diagonal"] is True
         assert len(document["basis"]) == 1
 
+    def test_indecomposable_unknown_text(self, tmp_path):
+        seed = Seed(2, 2, Mat([[1, 2], [3, 4]]), tuple(map(GaussRat, (1, 1, 2, 2))))
+        path = _write(tmp_path, "repeated.json", json.dumps(seed_to_json(seed)))
+        result = run_cli(["indecomposable", path])
+        assert result.exit_code == 0
+        assert result.stdout == (
+            "verdict: unknown\n"
+            "reason: repeated shifts with both weight spaces of dimension >= 2 are "
+            "outside the decided cases; endomorphism dimension is 4\n"
+            "endomorphism dimension: 4\n"
+        )
+
+    def test_endo_text(self, rep_file):
+        result = run_cli(["endo", rep_file])
+        assert result.exit_code == 0
+        assert result.stdout == "dimension: 1\nall_diagonal: true\n"
+
     def test_canonical_human_output(self, seed_file):
         result = run_cli(["canonical", seed_file])
         assert result.exit_code == 0
@@ -254,6 +311,11 @@ class TestClassifyCommands:
         assert "isomorphic: false" in mismatch.stdout
         assert run_cli(["isomorphic", seed_file, degenerate]).exit_code == 3
 
+    def test_isomorphic_json(self, seed_file):
+        result = run_cli(["isomorphic", "--json", seed_file, seed_file])
+        assert result.exit_code == 0
+        assert result.stdout == '{\n  "isomorphic": true\n}\n'
+
 
 class TestSplit:
     def test_core_only_module(self, rep_file):
@@ -278,6 +340,35 @@ class TestSplit:
         assert document["core_split"]["verdict"] == "decomposable"
         assert document["rest"] is None
         assert document["plus_block"] == [0, 1]
+
+    def test_paired_blocks_text(self, tmp_path):
+        core = make_split_core(
+            a_free=[GaussRat(4)],
+            b_free=[GaussRat(1)],
+            shared=GaussRat(6),
+            coupling_up=Mat([[3]]),
+            coupling_down=Mat([[2]]),
+        )
+        rep = direct_sum(
+            [
+                core,
+                make_weight_block(GaussRat(2), GaussRat(3), GaussRat(5)),
+                make_weight_block(GaussRat(1, 1), GaussRat(2, 1), GaussRat(7)),
+            ]
+        )
+        path = _write(tmp_path, "blocks.json", json.dumps(rep_to_json(rep)))
+        result = run_cli(["split", path])
+        assert result.exit_code == 0
+        assert result.stdout == (
+            "plus_block: 0 1\n"
+            "minus_block: 2 3\n"
+            "paired block d=2+i: plus [6] minus [7]\n"
+            "paired block d=3: plus [4] minus [5]\n"
+            "core: dimension 4 (2 + 2)\n"
+            "rest: dimension 4\n"
+            "core_split: decomposable (nonzero lower coupling block splits the "
+            "module into two invariant summands)\n"
+        )
 
     def test_rejects_invalid_module(self, tmp_path):
         data = rep_to_json(build_rep(REFERENCE))
@@ -385,6 +476,38 @@ def test_callbacks_are_looked_up_at_call_time(monkeypatch):
     result = run_cli(["split", "--json", "rep.json"])
     assert result.exit_code == 0
     assert calls == [{"rep_file": "rep.json", "as_json": True}]
+
+
+# the positional arguments of each verb
+VERB_ARGS = {
+    "construct": ["seed.json"],
+    "verify": ["rep.json"],
+    "rhizome": ["seed.json"],
+    "indecomposable": ["seed.json"],
+    "endo": ["rep.json"],
+    "canonical": ["seed.json"],
+    "isomorphic": ["seed.json", "other.json"],
+    "split": ["rep.json"],
+    "fuzz": [],
+}
+
+
+@pytest.mark.parametrize("verb", list(VERB_ARGS))
+def test_hypothesis_errors_exit_3(monkeypatch, verb):
+    """`main` turns a PreconditionError or ShapeError raised by any verb,
+    including a callback replaced after import, into exit 3 with the
+    message alone."""
+    assert set(VERB_ARGS) == set(main.commands)
+    for error in (PreconditionError("x"), ShapeError("y")):
+
+        def callback(**options):
+            raise error
+
+        monkeypatch.setattr(main.commands[verb], "callback", callback)
+        result = run_cli([verb, *VERB_ARGS[verb]])
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr == f"{error}\n"
 
 
 def test_startup_imports():
