@@ -7,138 +7,22 @@ indecomposability and isomorphism in the regular cases, and computes
 canonical orbit representatives under monomial basis changes.
 """
 
-from .algebra import (
-    RelationReport,
-    Rep,
-    Violation,
-    e_is_zero,
-    e_sandwich_zero,
-    poly_matrix,
-    rep_from_json,
-    rep_to_json,
-    verify_hecke,
-    verify_periplectic,
-)
-from .classify import (
-    DECOMPOSABLE,
-    INDECOMPOSABLE,
-    UNKNOWN,
-    CanonicalForm,
-    EndoReport,
-    MonomialPair,
-    Verdict,
-    WeightBlockPartition,
-    canonical_form,
-    canonical_to_json,
-    e_nonzero_guarantee,
-    endo_report,
-    group_act,
-    indecomposable,
-    is_regular,
-    isomorphic,
-    split_core,
-    split_weight_blocks,
-    verdict_to_json,
-)
-from .errors import CodecError, PreconditionError, ShapeError
-from .linalg import (
-    I,
-    ONE,
-    ZERO,
-    GaussRat,
-    Mat,
-    as_gauss,
-    commutant_basis,
-    gauss_from_json,
-    gauss_to_json,
-    kernel_basis,
-    mat_from_json,
-    mat_to_json,
-    rank,
-)
-from .reps import (
-    ExtensionProfile,
-    Seed,
-    build_hecke_module,
-    build_one_dim,
-    build_rep,
-    entrywise_e,
-    extension_profile,
-    seed_from_json,
-    seed_to_json,
-)
-from .rhizome import (
-    RhizomeReport,
-    ScalingNormalization,
-    analyze,
-    bipartite_components,
-    format_pattern,
-    parse_pattern,
-    scaling_normalize,
-)
+from .algebra import *
+from .classify import *
+from .errors import *
+from .linalg import *
+from .reps import *
+from .rhizome import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CanonicalForm",
-    "CodecError",
-    "DECOMPOSABLE",
-    "EndoReport",
-    "ExtensionProfile",
-    "GaussRat",
-    "I",
-    "INDECOMPOSABLE",
-    "Mat",
-    "MonomialPair",
-    "ONE",
-    "PreconditionError",
-    "RelationReport",
-    "Rep",
-    "RhizomeReport",
-    "ScalingNormalization",
-    "Seed",
-    "ShapeError",
-    "UNKNOWN",
-    "Verdict",
-    "Violation",
-    "WeightBlockPartition",
-    "ZERO",
-    "analyze",
-    "as_gauss",
-    "bipartite_components",
-    "build_hecke_module",
-    "build_one_dim",
-    "build_rep",
-    "canonical_form",
-    "canonical_to_json",
-    "commutant_basis",
-    "e_is_zero",
-    "e_nonzero_guarantee",
-    "e_sandwich_zero",
-    "endo_report",
-    "entrywise_e",
-    "extension_profile",
-    "format_pattern",
-    "gauss_from_json",
-    "gauss_to_json",
-    "group_act",
-    "indecomposable",
-    "is_regular",
-    "isomorphic",
-    "kernel_basis",
-    "mat_from_json",
-    "mat_to_json",
-    "parse_pattern",
-    "poly_matrix",
-    "rank",
-    "rep_from_json",
-    "rep_to_json",
-    "scaling_normalize",
-    "seed_from_json",
-    "seed_to_json",
-    "split_core",
-    "split_weight_blocks",
-    "verdict_to_json",
-    "verify_hecke",
-    "verify_periplectic",
-]
+__all__ = sorted(
+    {
+        *algebra.__all__,
+        *classify.__all__,
+        *errors.__all__,
+        *linalg.__all__,
+        *reps.__all__,
+        *rhizome.__all__,
+    }
+)

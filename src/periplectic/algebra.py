@@ -16,6 +16,7 @@ from .linalg import (
     GaussRat,
     Mat,
     ZERO,
+    _json_kind,
     as_gauss,
     mat_from_json,
     mat_to_json,
@@ -199,7 +200,7 @@ def _sizes_from_json(data: object, keys: set[str], noun: str) -> tuple[int, int]
     """The k and l of a JSON object that must hold `keys`; raises
     CodecError naming the `noun` when it is not such an object."""
     if not isinstance(data, dict):
-        raise CodecError(f"expected a JSON object for a {noun}, got {data!r}")
+        raise CodecError(f"expected a JSON object for a {noun}, got {_json_kind(data)}")
     missing = keys - set(data)
     if missing:
         raise CodecError(f"{noun} object lacks keys {sorted(missing)}")

@@ -31,7 +31,7 @@ from .linalg import (
     row_basis,
 )
 from .record import Record
-from .reps import Seed, build_rep, check_core_shape
+from .reps import _MINUS_ONE, Seed, _weights, build_rep, check_core_shape
 from .rhizome import analyze, bipartite_components, scaling_normalize
 
 __all__ = [
@@ -59,8 +59,6 @@ __all__ = [
 INDECOMPOSABLE = "indecomposable"
 DECOMPOSABLE = "decomposable"
 UNKNOWN = "unknown"
-
-_MINUS_ONE = GaussRat(-1)
 
 Vector = tuple[GaussRat, ...]
 
@@ -280,11 +278,11 @@ def _repeat_witness(seed: Seed) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]
     k, l = seed.k, seed.l
     n = k + l
     groups: dict[GaussRat, list[int]] = {}
+    for t, val in enumerate(seed.a if l == 1 else seed.b):
+        groups.setdefault(val, []).append(t)
     part1: list[Vector] = []
     part2: list[Vector] = []
     if l == 1:
-        for t, val in enumerate(seed.a):
-            groups.setdefault(val, []).append(t)
         weights = [seed.coupling[i, 0] for i in range(k)]
         for members in groups.values():
             vec = [ZERO] * n
@@ -294,8 +292,6 @@ def _repeat_witness(seed: Seed) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]
             part1.extend(_unit(n, t) for t in members[1:])
         part2.append(_unit(n, k))
     else:  # k == 1
-        for t, val in enumerate(seed.b):
-            groups.setdefault(val, []).append(t)
         weights = [seed.coupling[0, j] for j in range(l)]
         part2.append(_unit(n, 0))
         for members in groups.values():
@@ -334,28 +330,21 @@ def indecomposable(seed: Seed) -> Verdict:
         )
     if len(components) >= 2:
         witness = _component_witness(components, k, n)
-        _check_split(build_rep(seed), witness)
-        return Verdict(
-            DECOMPOSABLE,
-            f"the coupling pattern splits into {len(components)} independent blocks",
-            witness,
-        )
-    # the coupling is rhizomatic, so the shifts are the obstruction
-    if k == 1 or l == 1:
+        reason = f"the coupling pattern splits into {len(components)} independent blocks"
+    # otherwise the coupling is rhizomatic, so the shifts are the obstruction
+    elif k == 1 or l == 1:
         witness = _repeat_witness(seed)
-        _check_split(build_rep(seed), witness)
+        reason = "repeated shifts in a one-line weight space split off invariant summands"
+    else:
+        endo = endo_report(build_rep(seed))
         return Verdict(
-            DECOMPOSABLE,
-            "repeated shifts in a one-line weight space split off invariant summands",
-            witness,
+            UNKNOWN,
+            "repeated shifts with both weight spaces of dimension >= 2 are outside "
+            f"the decided cases; endomorphism dimension is {endo.dimension}",
+            endo_dim=endo.dimension,
         )
-    endo = endo_report(build_rep(seed))
-    return Verdict(
-        UNKNOWN,
-        "repeated shifts with both weight spaces of dimension >= 2 are outside "
-        f"the decided cases; endomorphism dimension is {endo.dimension}",
-        endo_dim=endo.dimension,
-    )
+    _check_split(build_rep(seed), witness)
+    return Verdict(DECOMPOSABLE, reason, witness)
 
 
 def e_nonzero_guarantee(seed: Seed) -> bool:
@@ -446,34 +435,21 @@ def split_weight_blocks(rep: Rep) -> tuple[WeightBlockPartition, Rep, Rep | None
     input does not satisfy the relations and is reported as an error.
     Returns (partition, core module, remaining module or None).
     """
-    if not rep.is_calibrated:
-        raise PreconditionError("weight splitting needs diagonal y1 and y2")
-    n = rep.dim
-    d = [rep.y1[i, i] - rep.y2[i, i] for i in range(n)]
+    d = _weights(rep, "weight splitting")
+    by_weight: dict[GaussRat, list[int]] = {}
     for i, di in enumerate(d):
-        if not di:
-            raise PreconditionError(
-                f"basis vector {i} has weight 0, impossible under the relations"
-            )
-    plus = [i for i in range(n) if d[i] == ONE]
-    minus = [i for i in range(n) if d[i] == _MINUS_ONE]
+        by_weight.setdefault(di, []).append(i)
+    if ZERO in by_weight:
+        raise PreconditionError(
+            f"basis vector {by_weight[ZERO][0]} has weight 0, impossible under the relations"
+        )
+    plus = by_weight.pop(ONE, [])
+    minus = by_weight.pop(_MINUS_ONE, [])
 
     # pair the remaining weights as (d, -d) with d the larger of the two
-    block_keys: list[GaussRat] = []
-    for i in range(n):
-        if d[i] == ONE or d[i] == _MINUS_ONE:
-            continue
-        key = max(d[i], -d[i])
-        if key not in block_keys:
-            block_keys.append(key)
-    block_keys.sort()
     blocks = [
-        (
-            key,
-            tuple(i for i in range(n) if d[i] == key),
-            tuple(i for i in range(n) if d[i] == -key),
-        )
-        for key in block_keys
+        (key, tuple(by_weight.get(key, ())), tuple(by_weight.get(-key, ())))
+        for key in sorted({max(w, -w) for w in by_weight})
     ]
 
     # row-major scan of the positions where e or s is nonzero, plus the
@@ -515,9 +491,7 @@ def split_core(rep: Rep) -> Verdict:
     other.  T = 0 says nothing (classify from the seed instead), and a T of
     full rank on both sides leaves no complement to split off.
     """
-    if not rep.is_calibrated:
-        raise PreconditionError("core splitting needs diagonal y1 and y2")
-    k = check_core_shape(rep, "not in core shape")
+    k = check_core_shape(rep, "core splitting", "not in core shape")
     n = rep.dim
     l = n - k
     s_rows = rep.s.nonzero

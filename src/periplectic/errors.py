@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+__all__ = ["ShapeError", "CodecError", "PreconditionError"]
+
 
 class ShapeError(ValueError):
     """Matrix dimensions do not admit the requested operation."""

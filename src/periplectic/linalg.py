@@ -319,13 +319,34 @@ def _parse_rational(text: str) -> tuple[int, int]:
     return int(num), q
 
 
+# the JSON type names of the values json.loads returns
+_JSON_TYPES = {
+    dict: "an object",
+    str: "a string",
+    bool: "a boolean",
+    int: "a number",
+    float: "a number",
+    type(None): "null",
+}
+
+
+def _json_kind(data: object) -> str:
+    """The JSON type of a decoded value, with an array's length, for a
+    codec message: the value itself may be megabytes long."""
+    if isinstance(data, (list, tuple)):
+        return f"an array of length {len(data)}"
+    return _JSON_TYPES.get(type(data), f"a value of type {type(data).__name__}")
+
+
 def gauss_from_json(data: object) -> GaussRat:
     if (
         not isinstance(data, (list, tuple))
         or len(data) != 2
         or not all(isinstance(part, str) for part in data)
     ):
-        raise CodecError(f"expected a 2-element array of rational strings, got {data!r}")
+        raise CodecError(
+            f"expected a 2-element array of rational strings, got {_json_kind(data)}"
+        )
     try:
         (p, q), (r, s) = _parse_rational(data[0]), _parse_rational(data[1])
     except ValueError as exc:
@@ -638,11 +659,11 @@ def mat_from_json(data: object, *, rows: int, cols: int) -> Mat:
     mat_to_json writes zero is skipped; every other cell goes through
     gauss_from_json, so accepted input and error messages are the same."""
     if not isinstance(data, list) or len(data) != rows:
-        raise CodecError(f"expected {rows} matrix rows, got {data!r}")
+        raise CodecError(f"expected {rows} matrix rows, got {_json_kind(data)}")
     out = []
     for row in data:
         if not isinstance(row, list) or len(row) != cols:
-            raise CodecError(f"expected a matrix row of width {cols}, got {row!r}")
+            raise CodecError(f"expected a matrix row of width {cols}, got {_json_kind(row)}")
         stored = {}
         for j, cell in enumerate(row):
             if cell != _ZERO_CELL:

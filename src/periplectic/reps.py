@@ -16,6 +16,7 @@ from .linalg import (
     Mat,
     ONE,
     ZERO,
+    _json_kind,
     as_gauss,
     gauss_from_json,
     gauss_to_json,
@@ -168,23 +169,30 @@ def extension_profile(rep: Rep) -> ExtensionProfile:
     one-dimensional sign "-" modules with eigenvalues a_i; the quotient is a
     sum of sign "+" modules with eigenvalues b_j - 1.
     """
-    if not rep.is_calibrated:
-        raise PreconditionError("extension profile needs diagonal y1 and y2")
-    k = check_core_shape(rep, "rep not in canonical block shape")
+    k = check_core_shape(rep, "extension profile", "rep not in canonical block shape")
     socle = tuple(("-", rep.y1[i, i]) for i in range(k))
     quotient = tuple(("+", rep.y1[i, i]) for i in range(k, rep.dim))
     return ExtensionProfile(socle, quotient)
 
 
-def check_core_shape(rep: Rep, refusal: str) -> int:
+def _weights(rep: Rep, operation: str) -> list[GaussRat]:
+    """The y1 - y2 weight of each basis vector; raises PreconditionError
+    "<operation> needs diagonal y1 and y2" unless the module is calibrated."""
+    if not rep.is_calibrated:
+        raise PreconditionError(f"{operation} needs diagonal y1 and y2")
+    return [rep.y1[i, i] - rep.y2[i, i] for i in range(rep.dim)]
+
+
+def check_core_shape(rep: Rep, operation: str, refusal: str) -> int:
     """The k of a calibrated module whose y1 - y2 is k entries +1 followed
     by -1s, matching its declared split.
 
-    Raises PreconditionError "<refusal>: ..." when the weights are not in
-    that shape, and one naming both splits when they disagree.
+    Raises PreconditionError as _weights does for `operation`, "<refusal>:
+    ..." when the weights are not in that shape, and one naming both splits
+    when they disagree.
     """
     n = rep.dim
-    d = [rep.y1[i, i] - rep.y2[i, i] for i in range(n)]
+    d = _weights(rep, operation)
     k = 0
     while k < n and d[k] == ONE:
         k += 1
@@ -211,5 +219,5 @@ def seed_from_json(data: object) -> Seed:
     coupling = mat_from_json(data["S"], rows=k, cols=l)
     ab = data["ab"]
     if not isinstance(ab, list) or len(ab) != k + l:
-        raise CodecError(f"ab must list {k + l} values, got {ab!r}")
+        raise CodecError(f"ab must list {k + l} values, got {_json_kind(ab)}")
     return Seed(k, l, coupling, tuple(gauss_from_json(x) for x in ab))

@@ -26,6 +26,7 @@ from periplectic import (
     e_is_zero,
     e_nonzero_guarantee,
     endo_report,
+    extension_profile,
     group_act,
     indecomposable,
     is_regular,
@@ -514,9 +515,16 @@ class TestSplitCore:
         rep = build_rep(REFERENCE)
         grid = [[rep.y1[i, j] for j in range(5)] for i in range(5)]
         grid[0][1] = q(1)
-        with pytest.raises(PreconditionError) as info:
-            split_core(Rep(3, 2, Mat(grid, cols=5), rep.y2, rep.s, rep.e))
-        assert str(info.value) == "core splitting needs diagonal y1 and y2"
+        bad = Rep(3, 2, Mat(grid, cols=5), rep.y2, rep.s, rep.e)
+        # every reader of the weights refuses in the same words
+        for operation, name in (
+            (split_core, "core splitting"),
+            (split_weight_blocks, "weight splitting"),
+            (extension_profile, "extension profile"),
+        ):
+            with pytest.raises(PreconditionError) as info:
+                operation(bad)
+            assert str(info.value) == f"{name} needs diagonal y1 and y2"
 
 
 class TestENonzeroGuarantee:

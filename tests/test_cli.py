@@ -41,6 +41,8 @@ REFERENCE = Seed(
 
 NON_REGULAR = Seed(2, 1, Mat([[1], [1]]), (GaussRat(3), GaussRat(3), GaussRat(0)))
 
+SMALL = Seed(1, 1, Mat([[2]]), (GaussRat(1), GaussRat(3)))
+
 
 @pytest.fixture
 def seed_file(tmp_path):
@@ -98,6 +100,23 @@ class TestConstructVerify:
         assert result.exit_code == 1
         assert "FAIL s*y1 = y2*s - 1 - e" in result.stdout
 
+    def test_verify_json_lists_violations(self, tmp_path):
+        data = rep_to_json(build_rep(SMALL))
+        data["s"][0][1] = ["3/1", "0/1"]
+        path = _write(tmp_path, "perturbed.json", json.dumps(data))
+        result = run_cli(["verify", "--json", path])
+        assert result.exit_code == 1
+        assert result.stderr == ""
+        violations = [
+            {"relation": relation, "position": [0, 1], "lhs": [lhs, "0/1"], "rhs": [rhs, "0/1"]}
+            for relation, lhs, rhs in (
+                ("s*y1 = y2*s - 1 - e", "6/1", "4/1"),
+                ("s*y2 = y1*s + 1 - e", "9/1", "7/1"),
+            )
+        ]
+        document = {"passed": False, "violations": violations}
+        assert result.stdout == json.dumps(document, indent=2) + "\n"
+
     def test_construct_rejects_incomplete_seed(self, tmp_path):
         path = _write(tmp_path, "partial.json", '{"k": 1, "l": 1}')
         result = run_cli(["construct", path])
@@ -117,6 +136,49 @@ class TestInputErrors:
             result = run_cli([verb, path])
             assert result.exit_code == 2
             assert result.stderr == f"{path}: k and l must be non-negative integers\n"
+
+    def test_shape_error_on_large_module_is_one_short_line(self, tmp_path):
+        # a k = l = 64 module whose k is one too large: the message names
+        # what was found instead of echoing 128 rows of the file
+        seed = Seed(64, 64, Mat.identity(64), tuple(map(GaussRat, range(128))))
+        document = rep_to_json(build_rep(seed))
+        document["k"] = 65
+        path = _write(tmp_path, "rep.json", json.dumps(document))
+        result = run_cli(["verify", path])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == f"{path}: expected 129 matrix rows, got an array of length 128\n"
+        assert len(result.stderr.encode()) < 200
+
+    @pytest.mark.parametrize(
+        "verb, edit, message",
+        [
+            ("construct", lambda doc: [1, 2],
+             "expected a JSON object for a seed, got an array of length 2"),
+            ("verify", lambda doc: "rep",
+             "expected a JSON object for a representation, got a string"),
+            ("construct", lambda doc: {**doc, "S": doc["S"][:2]},
+             "expected 3 matrix rows, got an array of length 2"),
+            ("construct", lambda doc: {**doc, "S": None}, "expected 3 matrix rows, got null"),
+            ("verify", lambda doc: {**doc, "s": [doc["s"][0][:4]] + doc["s"][1:]},
+             "expected a matrix row of width 5, got an array of length 4"),
+            ("construct", lambda doc: {**doc, "ab": {}}, "ab must list 5 values, got an object"),
+            ("construct", lambda doc: {**doc, "ab": [7] + doc["ab"][1:]},
+             "expected a 2-element array of rational strings, got a number"),
+            ("construct", lambda doc: {**doc, "ab": [["1", "0", "0"]] + doc["ab"][1:]},
+             "expected a 2-element array of rational strings, got an array of length 3"),
+        ],
+    )
+    def test_shape_errors_name_the_type_found(self, tmp_path, verb, edit, message):
+        if verb == "construct":
+            document = seed_to_json(REFERENCE)
+        else:
+            document = rep_to_json(build_rep(REFERENCE))
+        path = _write(tmp_path, "input.json", json.dumps(edit(document)))
+        result = run_cli([verb, path])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == f"{path}: {message}\n"
 
     def test_malformed_rational_exits_2(self, tmp_path):
         document = seed_to_json(REFERENCE)
@@ -370,6 +432,46 @@ class TestSplit:
             "module into two invariant summands)\n"
         )
 
+    def test_paired_block_document(self, tmp_path):
+        rep = direct_sum(
+            [build_rep(SMALL), make_weight_block(GaussRat(2), GaussRat(3), GaussRat(5))]
+        )
+        path = _write(tmp_path, "blocks.json", json.dumps(rep_to_json(rep)))
+        result = run_cli(["split", "--json", path])
+        assert result.exit_code == 0
+
+        def module(y1, y2, s, e):
+            return {"k": 1, "l": 1, "y1": y1, "y2": y2, "s": s, "e": e}
+
+        def grid(*entries):
+            cells = [[entry, "0/1"] for entry in entries]
+            return [cells[:2], cells[2:]]
+
+        document = {
+            "plus_block": [0],
+            "minus_block": [1],
+            "other_blocks": [{"weight": ["3/1", "0/1"], "plus": [2], "minus": [3]}],
+            "core": module(
+                grid("1/1", "0/1", "0/1", "2/1"),
+                grid("0/1", "0/1", "0/1", "3/1"),
+                grid("-1/1", "2/1", "0/1", "1/1"),
+                grid("0/1", "-4/1", "0/1", "0/1"),
+            ),
+            "rest": module(
+                grid("2/1", "0/1", "0/1", "-1/1"),
+                grid("-1/1", "0/1", "0/1", "2/1"),
+                grid("-1/3", "5/1", "8/45", "1/3"),
+                grid("0/1", "0/1", "0/1", "0/1"),
+            ),
+            "core_split": {
+                "verdict": "unknown",
+                "reason": "lower coupling block is zero; decide from the seed data instead",
+                "witness": None,
+                "endo_dim": None,
+            },
+        }
+        assert result.stdout == json.dumps(document, indent=2) + "\n"
+
     def test_rejects_invalid_module(self, tmp_path):
         data = rep_to_json(build_rep(REFERENCE))
         data["e"] = [[["0/1", "0/1"]] * 5 for _ in range(5)]
@@ -396,6 +498,26 @@ class TestFuzz:
         assert document["passed"] is True
         assert document["failures"] == []
         assert document["seed"] == 3
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_failure_report(self, monkeypatch, flags):
+        from periplectic import cli
+
+        monkeypatch.setattr(cli, "e_sandwich_zero", lambda rep, poly: False)
+        result = run_cli(["fuzz", "--seed", "1", "--trials", "3", *flags])
+        assert result.exit_code == 1
+        assert result.stderr == ""
+        problem = "e * f(y1, y2) * e is nonzero"
+        if flags:
+            document = json.loads(result.stdout)
+            assert document["passed"] is False
+            assert document["failures"] == [{"trial": t, "problem": problem} for t in range(3)]
+        else:
+            assert result.stdout == (
+                "fuzz kmax=4 lmax=4 trials=3 seed=1\n"
+                + "".join(f"FAIL trial {t}: {problem}\n" for t in range(3))
+                + "0/3 trials passed\n"
+            )
 
     def test_smallest_counts_run(self):
         result = run_cli(["fuzz", "--kmax", "1", "--lmax", "1", "--trials", "3"])
