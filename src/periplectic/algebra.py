@@ -16,6 +16,7 @@ from .linalg import (
     GaussRat,
     Mat,
     ZERO,
+    _decode_at,
     _json_kind,
     as_gauss,
     mat_from_json,
@@ -215,7 +216,7 @@ def rep_from_json(data: object) -> Rep:
     k, l = _sizes_from_json(data, {"k", "l", "y1", "y2", "s", "e"}, "representation")
     n = k + l
     mats = {
-        name: mat_from_json(data[name], rows=n, cols=n)
+        name: _decode_at(name, mat_from_json, data[name], rows=n, cols=n)
         for name in ("y1", "y2", "s", "e")
     }
     return Rep(k, l, mats["y1"], mats["y2"], mats["s"], mats["e"])

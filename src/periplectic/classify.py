@@ -187,50 +187,30 @@ class Verdict(Record):
     endo_dim: int | None
 
 
-def _unit(n: int, i: int) -> Vector:
-    return tuple(ONE if t == i else ZERO for t in range(n))
+def _check_split(rep: Rep, part1: Mat, part2: Mat) -> None:
+    """Verify that the rows of part1 and of part2 span complementary
+    invariant subspaces; raises when they do not.
 
-
-def _embed(vec: Sequence[GaussRat], n: int, offset: int) -> Vector:
-    out = [ZERO] * n
-    for t, x in enumerate(vec):
-        out[offset + t] = x
-    return tuple(out)
-
-
-def _coordinate_index(vec: Vector) -> int | None:
-    """The position of the only nonzero entry of vec, or None."""
-    support = [t for t, x in enumerate(vec) if x]
-    return support[0] if len(support) == 1 else None
-
-
-def _check_split(
-    rep: Rep, witness: tuple[tuple[Vector, ...], tuple[Vector, ...]]
-) -> None:
-    """Verify that the two vector families span complementary invariant
-    subspaces; raises when they do not.
-
-    When every vector is a nonzero multiple of a unit vector, as in every
-    component witness, no elimination runs: the parts are complementary when
-    their coordinates partition range(n), and a part is invariant when every
-    generator's block from its coordinates into the other part's is zero.
-    Otherwise one rank of the stacked witness checks complementarity (with n
-    vectors in all, rank n also makes each part independent), and for each
-    part one rank of the part stacked with its images under the four
-    generators checks invariance.
+    When every row holds one stored entry, as in every component witness,
+    no elimination runs: the parts are complementary when their coordinates
+    partition range(n), and a part is invariant when every generator's
+    block from its coordinates into the other part's is zero.  Otherwise one
+    rank of the stacked rows checks complementarity (with n rows in all,
+    rank n also makes each part independent), and for each part one rank of
+    the part stacked with its images under the four generators checks
+    invariance.
     """
-    part1, part2 = witness
     n = rep.dim
-    if not part1 or not part2:
+    if not part1.rows or not part2.rows:
         raise PreconditionError("split witness must have two nonzero parts")
-    if len(part1) + len(part2) != n:
+    if part1.rows + part2.rows != n:
         raise PreconditionError("split witness does not have full dimension")
     not_complementary = "split witness vectors are not complementary"
     moved = "claimed invariant subspace is not preserved by the generators"
-    coords = [[_coordinate_index(v) for v in part] for part in witness]
-    every = coords[0] + coords[1]
-    if None not in every:
-        if len(set(every)) != n:
+    stacked = part1.nonzero + part2.nonzero
+    if all(len(row) == 1 for row in stacked):
+        coords = [[p for row in part.nonzero for p in row] for part in (part1, part2)]
+        if len(set(coords[0] + coords[1])) != n:
             raise PreconditionError(not_complementary)
         for inside, outside in (coords, coords[::-1]):
             inside_set = set(inside)
@@ -238,30 +218,36 @@ def _check_split(
                 if any(not inside_set.isdisjoint(m.nonzero[p]) for p in outside):
                     raise PreconditionError(moved)
         return
-    if rank(Mat(list(part1) + list(part2), cols=n)) != n:
+    if rank(Mat._from_rows(stacked, n)) != n:
         raise PreconditionError(not_complementary)
     gens_t = [m.transpose() for m in rep.generators()]
     for part in (part1, part2):
-        space = Mat(list(part), cols=n)
-        # row t of space * m^T is m v for the t-th vector v
-        rows = list(space.nonzero)
+        # row t of part * m^T is m v for the t-th row v of the part
+        rows = list(part.nonzero)
         for m_t in gens_t:
-            rows.extend((space * m_t).nonzero)
-        if rank(Mat._from_rows(rows, n)) != len(part):
+            rows.extend((part * m_t).nonzero)
+        if rank(Mat._from_rows(rows, n)) != part.rows:
             raise PreconditionError(moved)
+
+
+def _decomposable(rep: Rep, reason: str, part1: Mat, part2: Mat) -> Verdict:
+    """The one maker of a decomposable verdict: re-check the split witness
+    given as the rows of part1 and part2, then write it out densely."""
+    _check_split(rep, part1, part2)
+    return Verdict(DECOMPOSABLE, reason, (part1.entries, part2.entries))
 
 
 def _component_witness(
     components: list[tuple[tuple[int, ...], tuple[int, ...]]], k: int, n: int
-) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
+) -> tuple[Mat, Mat]:
     first_rows, first_cols = components[0]
     head = {i for i in first_rows} | {k + j for j in first_cols}
-    part1 = tuple(_unit(n, i) for i in sorted(head))
-    part2 = tuple(_unit(n, i) for i in range(n) if i not in head)
+    part1 = Mat._from_rows([{i: ONE} for i in sorted(head)], n)
+    part2 = Mat._from_rows([{i: ONE} for i in range(n) if i not in head], n)
     return part1, part2
 
 
-def _repeat_witness(seed: Seed) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
+def _repeat_witness(seed: Seed) -> tuple[Mat, Mat]:
     """Split witness for one-line weight spaces with repeated shifts and a
     coupling without zeros.
 
@@ -280,29 +266,22 @@ def _repeat_witness(seed: Seed) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]
     groups: dict[GaussRat, list[int]] = {}
     for t, val in enumerate(seed.a if l == 1 else seed.b):
         groups.setdefault(val, []).append(t)
-    part1: list[Vector] = []
-    part2: list[Vector] = []
+    part1: list[dict[int, GaussRat]] = []
+    part2: list[dict[int, GaussRat]] = []
     if l == 1:
-        weights = [seed.coupling[i, 0] for i in range(k)]
+        weights = seed.coupling.column(0)
         for members in groups.values():
-            vec = [ZERO] * n
-            for t in members:
-                vec[t] = weights[t]
-            part2.append(tuple(vec))
-            part1.extend(_unit(n, t) for t in members[1:])
-        part2.append(_unit(n, k))
+            part2.append({t: weights[t] for t in members})
+            part1.extend({t: ONE} for t in members[1:])
+        part2.append({k: ONE})
     else:  # k == 1
-        weights = [seed.coupling[0, j] for j in range(l)]
-        part2.append(_unit(n, 0))
+        weights = seed.coupling.row(0)
+        part2.append({0: ONE})
         for members in groups.values():
             head = members[0]
-            part2.append(_unit(n, 1 + head))
-            for t in members[1:]:
-                diff = [ZERO] * n
-                diff[1 + t] = weights[head]
-                diff[1 + head] = -weights[t]
-                part1.append(tuple(diff))
-    return tuple(part1), tuple(part2)
+            part2.append({1 + head: ONE})
+            part1.extend({1 + head: -weights[t], 1 + t: weights[head]} for t in members[1:])
+    return Mat._from_rows(part1, n), Mat._from_rows(part2, n)
 
 
 def indecomposable(seed: Seed) -> Verdict:
@@ -343,8 +322,7 @@ def indecomposable(seed: Seed) -> Verdict:
             f"the decided cases; endomorphism dimension is {endo.dimension}",
             endo_dim=endo.dimension,
         )
-    _check_split(build_rep(seed), witness)
-    return Verdict(DECOMPOSABLE, reason, witness)
+    return _decomposable(build_rep(seed), reason, *witness)
 
 
 def e_nonzero_guarantee(seed: Seed) -> bool:
@@ -511,24 +489,21 @@ def split_core(rep: Rep) -> Verdict:
         )
     kernel, pivot_cols = kernel_and_pivots(lower)
     image_rows, image_leads = row_basis(lower.transpose())
-    part1 = tuple(_unit(n, p) for p in pivot_cols) + tuple(
-        _embed(w, n, k) for w in image_rows
-    )
-    part2 = tuple(_embed(u, n, 0) for u in kernel) + tuple(
-        _unit(n, k + q) for q in range(l) if q not in image_leads
-    )
+    part1 = [{p: ONE} for p in pivot_cols]
+    part1 += ({k + t: x for t, x in enumerate(w) if x} for w in image_rows)
+    part2 = [{t: x for t, x in enumerate(u) if x} for u in kernel]
+    part2 += ({k + q: ONE} for q in range(l) if q not in image_leads)
     if not part2:
         return Verdict(
             UNKNOWN,
             "lower coupling block has full rank on both sides; "
             "no complementary summand arises from this route",
         )
-    witness = (part1, part2)
-    _check_split(rep, witness)
-    return Verdict(
-        DECOMPOSABLE,
+    return _decomposable(
+        rep,
         "nonzero lower coupling block splits the module into two invariant summands",
-        witness,
+        Mat._from_rows(part1, n),
+        Mat._from_rows(part2, n),
     )
 
 

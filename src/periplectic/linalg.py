@@ -307,16 +307,26 @@ def _too_many_digits() -> PreconditionError:
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
-def _parse_rational(text: str) -> tuple[int, int]:
+def _parse_rational(data: Sequence[object], t: int) -> tuple[int, int]:
+    """Numerator and denominator of part t of a wire scalar.  A message
+    names the part and its length, never its text, which may be megabytes."""
+    text = data[t]
+    if not isinstance(text, str):
+        raise CodecError(f"expected a rational string in part {t}, got {_json_kind(text)}")
     match = _RATIONAL.fullmatch(text)
     if match is None:
-        raise ValueError(f"{text!r} is not of the form n or n/m")
-    num, den = match.groups()
-    # int() also refuses digit strings longer than the interpreter's limit
-    q = 1 if den is None else int(den)
-    if not q:
-        raise ValueError(f"zero denominator in {text!r}")
-    return int(num), q
+        problem = "not of the form n or n/m"
+    else:
+        num, den = match.groups()
+        try:
+            # int() refuses digit strings longer than the interpreter's limit
+            q = 1 if den is None else int(den)
+            if q:
+                return int(num), q
+            problem = "zero denominator"
+        except ValueError:
+            problem = f"more than {sys.get_int_max_str_digits()} digits"
+    raise CodecError(f"bad rational in part {t} ({len(text)} characters): {problem}")
 
 
 # the JSON type names of the values json.loads returns
@@ -338,19 +348,21 @@ def _json_kind(data: object) -> str:
     return _JSON_TYPES.get(type(data), f"a value of type {type(data).__name__}")
 
 
+def _decode_at(where: str, decode, *args, **kwargs):
+    """decode(*args, **kwargs), with `where: ` put before the message of a
+    CodecError it raises."""
+    try:
+        return decode(*args, **kwargs)
+    except CodecError as exc:
+        raise CodecError(f"{where}: {exc}") from None
+
+
 def gauss_from_json(data: object) -> GaussRat:
-    if (
-        not isinstance(data, (list, tuple))
-        or len(data) != 2
-        or not all(isinstance(part, str) for part in data)
-    ):
+    if not isinstance(data, (list, tuple)) or len(data) != 2:
         raise CodecError(
             f"expected a 2-element array of rational strings, got {_json_kind(data)}"
         )
-    try:
-        (p, q), (r, s) = _parse_rational(data[0]), _parse_rational(data[1])
-    except ValueError as exc:
-        raise CodecError(f"bad rational in {data!r}: {exc}") from None
+    (p, q), (r, s) = _parse_rational(data, 0), _parse_rational(data, 1)
     return _reduce(p * s, r * q, q * s)
 
 
@@ -661,15 +673,20 @@ def mat_from_json(data: object, *, rows: int, cols: int) -> Mat:
     if not isinstance(data, list) or len(data) != rows:
         raise CodecError(f"expected {rows} matrix rows, got {_json_kind(data)}")
     out = []
-    for row in data:
+    for i, row in enumerate(data):
         if not isinstance(row, list) or len(row) != cols:
-            raise CodecError(f"expected a matrix row of width {cols}, got {_json_kind(row)}")
+            raise CodecError(
+                f"row {i}: expected a matrix row of width {cols}, got {_json_kind(row)}"
+            )
         stored = {}
-        for j, cell in enumerate(row):
-            if cell != _ZERO_CELL:
-                x = gauss_from_json(cell)
-                if x:
-                    stored[j] = x
+        try:
+            for j, cell in enumerate(row):
+                if cell != _ZERO_CELL:
+                    x = gauss_from_json(cell)
+                    if x:
+                        stored[j] = x
+        except CodecError as exc:
+            raise CodecError(f"row {i}, column {j}: {exc}") from None
         out.append(stored)
     return Mat._from_rows(out, cols)
 

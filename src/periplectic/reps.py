@@ -16,6 +16,7 @@ from .linalg import (
     Mat,
     ONE,
     ZERO,
+    _decode_at,
     _json_kind,
     as_gauss,
     gauss_from_json,
@@ -216,8 +217,11 @@ def seed_to_json(seed: Seed) -> dict:
 
 def seed_from_json(data: object) -> Seed:
     k, l = _sizes_from_json(data, {"k", "l", "S", "ab"}, "seed")
-    coupling = mat_from_json(data["S"], rows=k, cols=l)
+    coupling = _decode_at("S", mat_from_json, data["S"], rows=k, cols=l)
     ab = data["ab"]
     if not isinstance(ab, list) or len(ab) != k + l:
         raise CodecError(f"ab must list {k + l} values, got {_json_kind(ab)}")
-    return Seed(k, l, coupling, tuple(gauss_from_json(x) for x in ab))
+    eigenvalues = tuple(
+        _decode_at(f"ab: value {t}", gauss_from_json, x) for t, x in enumerate(ab)
+    )
+    return Seed(k, l, coupling, eigenvalues)

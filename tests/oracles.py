@@ -260,17 +260,22 @@ def brute_force_isomorphic(seed1: Seed, seed2: Seed) -> bool:
 def oracle_split_ok(
     rep: Rep, witness: tuple[Sequence[Vector], Sequence[Vector]]
 ) -> bool:
-    """Re-verify a claimed invariant splitting from scratch."""
-    part1, part2 = witness
-    if not part1 or not part2 or len(part1) + len(part2) != rep.dim:
+    """Re-verify a claimed invariant splitting from scratch on (re, im)
+    pairs: the n vectors have rank n, and adding a part's images under any
+    generator does not raise the rank of the part."""
+    part1, part2 = (_pairs(part) for part in witness)
+    n = rep.dim
+    if not part1 or not part2 or len(part1) + len(part2) != n:
         return False
-    if oracle_rank(Mat(list(part1) + list(part2), cols=rep.dim)) != rep.dim:
+    if len(rref(part1 + part2, n)[0]) != n:
         return False
+    gens = [_pairs(m.entries) for m in rep.generators()]
     for part in (part1, part2):
-        for m in rep.generators():
-            for v in part:
-                if not in_span(part, m.apply(v)):
-                    return False
+        inside = len(rref(part, n)[0])
+        for g in gens:
+            images = [pair_apply(g, v) for v in part]
+            if len(rref(part + images, n)[0]) != inside:
+                return False
     return True
 
 

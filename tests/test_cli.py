@@ -124,6 +124,13 @@ class TestConstructVerify:
         assert "lacks keys" in result.stderr
 
 
+def _with_S_cell(document: dict, cell: list) -> dict:
+    """The seed document with `cell` at row 2, column 1 of S."""
+    rows = [list(row) for row in document["S"]]
+    rows[2][1] = cell
+    return {**document, "S": rows}
+
+
 class TestInputErrors:
     def test_boolean_size_exits_2(self, tmp_path):
         small = Seed(1, 1, Mat([[1]]), (GaussRat(1), GaussRat(2)))
@@ -147,29 +154,45 @@ class TestInputErrors:
         result = run_cli(["verify", path])
         assert result.exit_code == 2
         assert result.stdout == ""
-        assert result.stderr == f"{path}: expected 129 matrix rows, got an array of length 128\n"
+        assert result.stderr == f"{path}: y1: expected 129 matrix rows, got an array of length 128\n"
         assert len(result.stderr.encode()) < 200
 
     @pytest.mark.parametrize(
-        "verb, edit, message",
+        "verb, edit, message, where",
         [
             ("construct", lambda doc: [1, 2],
-             "expected a JSON object for a seed, got an array of length 2"),
+             "expected a JSON object for a seed, got an array of length 2", ""),
             ("verify", lambda doc: "rep",
-             "expected a JSON object for a representation, got a string"),
+             "expected a JSON object for a representation, got a string", ""),
             ("construct", lambda doc: {**doc, "S": doc["S"][:2]},
-             "expected 3 matrix rows, got an array of length 2"),
-            ("construct", lambda doc: {**doc, "S": None}, "expected 3 matrix rows, got null"),
+             "expected 3 matrix rows, got an array of length 2", "S: "),
+            ("construct", lambda doc: {**doc, "S": None},
+             "expected 3 matrix rows, got null", "S: "),
             ("verify", lambda doc: {**doc, "s": [doc["s"][0][:4]] + doc["s"][1:]},
-             "expected a matrix row of width 5, got an array of length 4"),
-            ("construct", lambda doc: {**doc, "ab": {}}, "ab must list 5 values, got an object"),
+             "expected a matrix row of width 5, got an array of length 4", "s: row 0: "),
+            ("construct", lambda doc: {**doc, "S": [doc["S"][0], doc["S"][1][:1], doc["S"][2]]},
+             "expected a matrix row of width 2, got an array of length 1", "S: row 1: "),
+            ("construct", lambda doc: {**doc, "S": [[doc["S"][0][0], [1, 0]]] + doc["S"][1:]},
+             "expected a rational string in part 0, got a number", "S: row 0, column 1: "),
+            ("verify", lambda doc: {**doc, "e": doc["e"][:4] + [doc["e"][4][:4] + [["0", None]]]},
+             "expected a rational string in part 1, got null", "e: row 4, column 4: "),
+            # a rational part is named by its length, never echoed
+            ("construct", lambda doc: _with_S_cell(doc, ["1" * 100000 + "x", "0"]),
+             "bad rational in part 0 (100001 characters): not of the form n or n/m",
+             "S: row 2, column 1: "),
+            ("construct", lambda doc: _with_S_cell(doc, ["1" * 5000, "0"]),
+             "bad rational in part 0 (5000 characters): more than 4300 digits",
+             "S: row 2, column 1: "),
+            ("construct", lambda doc: {**doc, "ab": {}}, "ab must list 5 values, got an object", ""),
             ("construct", lambda doc: {**doc, "ab": [7] + doc["ab"][1:]},
-             "expected a 2-element array of rational strings, got a number"),
+             "expected a 2-element array of rational strings, got a number", "ab: value 0: "),
             ("construct", lambda doc: {**doc, "ab": [["1", "0", "0"]] + doc["ab"][1:]},
-             "expected a 2-element array of rational strings, got an array of length 3"),
+             "expected a 2-element array of rational strings, got an array of length 3",
+             "ab: value 0: "),
         ],
     )
-    def test_shape_errors_name_the_type_found(self, tmp_path, verb, edit, message):
+    def test_shape_errors_name_the_type_found(self, tmp_path, verb, edit, message, where):
+        # `where` is the key, row and column the decoder puts before the message
         if verb == "construct":
             document = seed_to_json(REFERENCE)
         else:
@@ -178,7 +201,7 @@ class TestInputErrors:
         result = run_cli([verb, path])
         assert result.exit_code == 2
         assert result.stdout == ""
-        assert result.stderr == f"{path}: {message}\n"
+        assert result.stderr == f"{path}: {where}{message}\n"
 
     def test_malformed_rational_exits_2(self, tmp_path):
         document = seed_to_json(REFERENCE)
@@ -186,7 +209,10 @@ class TestInputErrors:
         path = _write(tmp_path, "seed.json", json.dumps(document))
         result = run_cli(["construct", path])
         assert result.exit_code == 2
-        assert result.stderr.startswith(f"{path}: bad rational in ['1.5', '0/1']")
+        assert result.stderr == (
+            f"{path}: ab: value 0: bad rational in part 0 (3 characters): "
+            "not of the form n or n/m\n"
+        )
 
     def test_oversized_output_exits_3(self, tmp_path):
         # each part parses, but e holds their 8,000-digit product, past the

@@ -251,11 +251,15 @@ class TestGaussCodec:
             ["1.5", "0"], ["0", "2e3"], ["1e20000", "0"], ["+1", "0"], [" 1", "0"],
             ["0", "1/0"], ["1 ", "0"], ["1/-2", "0"], ["1_000", "0"], ["\u0661", "0"],
             ["1/2\n", "0"], ["", "0"], ["-", "0"], ["1/", "0"],
+            # parts too long to echo: not of the form n or n/m, or past the digit limit
+            ["1" * 100000 + "x", "0"], ["0", "1" * 5000],
         ],
     )
     def test_malformed_input(self, bad):
-        with pytest.raises(CodecError):
+        with pytest.raises(CodecError) as info:
             gauss_from_json(bad)
+        # the message names a part and its length, never its text
+        assert len(str(info.value)) < 100
 
 
 class TestMat:

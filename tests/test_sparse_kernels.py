@@ -65,6 +65,12 @@ def combo(n: int, terms: dict[int, GaussRat]) -> tuple[GaussRat, ...]:
     return tuple(terms.get(t, ZERO) for t in range(n))
 
 
+def as_parts(rep, witness) -> tuple[Mat, Mat]:
+    """A witness of dense vectors as the two matrices _check_split takes,
+    whose rows are the vectors of each part."""
+    return tuple(Mat(list(part), cols=rep.dim) for part in witness)
+
+
 # k = l = 2 with a connected coupling: indecomposable, so no coordinate
 # splitting is invariant
 CONNECTED = build_rep(Seed(2, 2, Mat([[1, 2], [0, 3]]), (q(1), q(2), q(3), q(5))))
@@ -77,7 +83,7 @@ class TestCheckSplit:
         n = CONNECTED.dim
         witness = ((unit(n, 0), unit(n, 2)), (unit(n, 1), unit(n, 3)))
         with pytest.raises(PreconditionError, match=NOT_PRESERVED):
-            _check_split(CONNECTED, witness)
+            _check_split(CONNECTED, *as_parts(CONNECTED, witness))
 
     def test_scaled_coordinate_witness_invariant(self):
         # coordinates {0, 2} and {1, 3} are the two coupling blocks
@@ -86,7 +92,7 @@ class TestCheckSplit:
             (unit(n, 2, q(0, 3)), unit(n, 0, q(-1, 2))),
             (unit(n, 1), unit(n, 3, q(7))),
         )
-        _check_split(TWO_BLOCKS, witness)
+        _check_split(TWO_BLOCKS, *as_parts(TWO_BLOCKS, witness))
         assert oracle_split_ok(TWO_BLOCKS, witness)
 
     def test_general_witness_not_invariant(self):
@@ -96,7 +102,7 @@ class TestCheckSplit:
             (unit(n, 1), unit(n, 3)),
         )
         with pytest.raises(PreconditionError, match=NOT_PRESERVED):
-            _check_split(TWO_BLOCKS, witness)
+            _check_split(TWO_BLOCKS, *as_parts(TWO_BLOCKS, witness))
 
     def test_general_witness_invariant(self):
         # a change of basis inside one invariant summand keeps it invariant
@@ -105,7 +111,7 @@ class TestCheckSplit:
             (combo(n, {0: ONE, 2: q(2)}), combo(n, {0: q(0, 1), 2: ONE})),
             (unit(n, 1), unit(n, 3)),
         )
-        _check_split(TWO_BLOCKS, witness)
+        _check_split(TWO_BLOCKS, *as_parts(TWO_BLOCKS, witness))
 
     def test_dependent_vectors(self):
         # with n vectors in all, dependence inside a part makes the whole
@@ -116,13 +122,14 @@ class TestCheckSplit:
             (combo(n, {0: ONE, 2: ONE}), combo(n, {0: q(3), 2: q(3)})),
         ):
             with pytest.raises(PreconditionError, match=NOT_COMPLEMENTARY):
-                _check_split(TWO_BLOCKS, (part1, (unit(n, 1), unit(n, 3))))
+                witness = (part1, (unit(n, 1), unit(n, 3)))
+                _check_split(TWO_BLOCKS, *as_parts(TWO_BLOCKS, witness))
 
     def test_not_complementary_coordinate(self):
         n = TWO_BLOCKS.dim
         witness = ((unit(n, 0), unit(n, 2)), (unit(n, 2, q(5)), unit(n, 3)))
         with pytest.raises(PreconditionError, match=NOT_COMPLEMENTARY):
-            _check_split(TWO_BLOCKS, witness)
+            _check_split(TWO_BLOCKS, *as_parts(TWO_BLOCKS, witness))
 
     def test_not_complementary_general(self):
         n = TWO_BLOCKS.dim
@@ -131,20 +138,22 @@ class TestCheckSplit:
             (unit(n, 0), unit(n, 1)),
         )
         with pytest.raises(PreconditionError, match=NOT_COMPLEMENTARY):
-            _check_split(TWO_BLOCKS, witness)
+            _check_split(TWO_BLOCKS, *as_parts(TWO_BLOCKS, witness))
 
     def test_zero_vector_is_not_complementary(self):
         n = TWO_BLOCKS.dim
         witness = ((unit(n, 0), unit(n, 2)), (tuple([ZERO] * n), unit(n, 3)))
         with pytest.raises(PreconditionError, match=NOT_COMPLEMENTARY):
-            _check_split(TWO_BLOCKS, witness)
+            _check_split(TWO_BLOCKS, *as_parts(TWO_BLOCKS, witness))
 
     def test_shape_messages(self):
         n = TWO_BLOCKS.dim
         with pytest.raises(PreconditionError, match="two nonzero parts"):
-            _check_split(TWO_BLOCKS, ((), tuple(unit(n, i) for i in range(n))))
+            witness = ((), tuple(unit(n, i) for i in range(n)))
+            _check_split(TWO_BLOCKS, *as_parts(TWO_BLOCKS, witness))
         with pytest.raises(PreconditionError, match="full dimension"):
-            _check_split(TWO_BLOCKS, ((unit(n, 0),), (unit(n, 1),)))
+            witness = ((unit(n, 0),), (unit(n, 1),))
+            _check_split(TWO_BLOCKS, *as_parts(TWO_BLOCKS, witness))
 
     def test_agrees_with_oracle_on_random_witnesses(self):
         rng = random.Random(91)
@@ -171,7 +180,7 @@ class TestCheckSplit:
             for witness in candidates:
                 expected = oracle_split_ok(rep, witness)
                 try:
-                    _check_split(rep, witness)
+                    _check_split(rep, *as_parts(rep, witness))
                     ok = True
                 except PreconditionError:
                     ok = False
@@ -290,7 +299,7 @@ def test_split_json_bytes_are_pinned(tmp_path):
     decoded = tuple(
         tuple(tuple(gauss_from_json(x) for x in vec) for vec in part) for part in witness
     )
-    _check_split(PINNED_CORE, decoded)
+    _check_split(PINNED_CORE, *as_parts(PINNED_CORE, decoded))
     assert oracle_split_ok(PINNED_CORE, decoded)
     assert len(result.stdout) == 14698
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == PINNED_SPLIT_SHA256
