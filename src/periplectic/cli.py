@@ -3,7 +3,9 @@
 Verbs read JSON files (the rhizome verb also takes `./*` pattern grids) and
 print a human summary, or a machine document with --json.  Exit codes:
 0 success or pass, 1 a check failed, 2 unreadable or unparseable input,
-3 input outside an operation's hypotheses.
+3 input outside an operation's hypotheses.  Each verb returns its stdout
+text and exit code (0 or 1) and raises on bad input; `main` alone writes
+stdout and exits.
 """
 
 from __future__ import annotations
@@ -35,14 +37,9 @@ from .classify import (
     verdict_to_json,
 )
 from .errors import CodecError, PreconditionError, ShapeError
-from .linalg import gauss_to_json, mat_to_json
+from .linalg import _decode_at, gauss_to_json, mat_to_json
 from .reps import build_rep, entrywise_e, seed_from_json
 from .rhizome import analyze, bipartite_components, parse_pattern
-
-
-def _fail(code: int, message: str) -> NoReturn:
-    print(message, file=sys.stderr)
-    sys.exit(code)
 
 
 def _read_text(path: str) -> str:
@@ -50,37 +47,33 @@ def _read_text(path: str) -> str:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:
-        _fail(2, f"{path}: {exc.strerror or exc}")
+        raise CodecError(f"{path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
-        _fail(2, f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}")
+        raise CodecError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
 def _load(path: str, decode, text: str | None = None):
     """Parse the JSON text of `path` (read here unless given) and decode it;
-    input that cannot be parsed or decoded exits 2 with one `path: message`
-    line."""
+    input that cannot be parsed or decoded raises a CodecError whose message
+    is one `path: message` line."""
     if text is None:
         text = _read_text(path)
     try:
-        return decode(json.loads(text))
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
-        _fail(2, f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
+        raise CodecError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
     except RecursionError:
-        _fail(2, f"{path}: JSON nested too deeply")
-    except ValueError as exc:
-        # a CodecError or ShapeError of the decoder, or an integer past the
+        raise CodecError(f"{path}: JSON nested too deeply") from None
+    except ValueError:
+        # the one other ValueError of json.loads: an integer literal past the
         # interpreter's int-to-str digit limit
-        _fail(2, f"{path}: {exc}")
-
-
-def _dump(document: object) -> None:
-    print(json.dumps(document, indent=2))
-
-
-def _echo_lines(lines: list[str]) -> None:
-    """Write text output in one piece, once every line has been formatted,
-    so an error while formatting leaves stdout empty."""
-    print("\n".join(lines))
+        limit = sys.get_int_max_str_digits()
+        raise CodecError(f"{path}: a JSON integer has more than {limit} digits") from None
+    try:
+        return decode(data)
+    except ValueError as exc:
+        # a CodecError or ShapeError of the decoder
+        raise CodecError(f"{path}: {exc}") from None
 
 
 class _Command:
@@ -126,31 +119,30 @@ def _command(name: str, *arguments: tuple):
 
 
 @_command("construct", _arg("seed_file"))
-def construct(seed_file: str) -> None:
+def construct(seed_file: str) -> tuple[str, int]:
     """Build the module of a seed file and print it as JSON."""
     rep = build_rep(_load(seed_file, seed_from_json))
-    _dump(rep_to_json(rep))
+    return json.dumps(rep_to_json(rep), indent=2), 0
 
 
 @_command("verify", _arg("rep_file"), _JSON)
-def verify(rep_file: str, as_json: bool) -> None:
+def verify(rep_file: str, as_json: bool) -> tuple[str, int]:
     """Check the nine defining relations; exit 0 iff all hold."""
     report = verify_periplectic(_load(rep_file, rep_from_json))
     if as_json:
-        _dump(
-            {
-                "passed": report.passed,
-                "violations": [
-                    {
-                        "relation": v.relation,
-                        "position": list(v.position),
-                        "lhs": gauss_to_json(v.lhs),
-                        "rhs": gauss_to_json(v.rhs),
-                    }
-                    for v in report.violations
-                ],
-            }
-        )
+        document = {
+            "passed": report.passed,
+            "violations": [
+                {
+                    "relation": v.relation,
+                    "position": list(v.position),
+                    "lhs": gauss_to_json(v.lhs),
+                    "rhs": gauss_to_json(v.rhs),
+                }
+                for v in report.violations
+            ],
+        }
+        text = json.dumps(document, indent=2)
     else:
         failed = {v.relation: v for v in report.violations}
         lines = []
@@ -160,12 +152,12 @@ def verify(rep_file: str, as_json: bool) -> None:
                 lines.append(f"FAIL {name}  at {v.position}: {v.lhs} != {v.rhs}")
             else:
                 lines.append(f"ok   {name}")
-        _echo_lines(lines)
-    sys.exit(0 if report.passed else 1)
+        text = "\n".join(lines)
+    return text, 0 if report.passed else 1
 
 
 @_command("rhizome", _arg("input_file"), _JSON)
-def rhizome(input_file: str, as_json: bool) -> None:
+def rhizome(input_file: str, as_json: bool) -> tuple[str, int]:
     """Zero-pattern analysis of a coupling matrix.
 
     Accepts a seed JSON file or a plain-text grid of `.` and `*` cells.
@@ -174,129 +166,121 @@ def rhizome(input_file: str, as_json: bool) -> None:
     if text.lstrip().startswith("{"):
         matrix = _load(input_file, seed_from_json, text).coupling
     else:
-        try:
-            matrix = parse_pattern(text)
-        except CodecError as exc:
-            _fail(2, f"{input_file}: {exc}")
+        matrix = _decode_at(input_file, parse_pattern, text)
     report = analyze(matrix)
     if as_json:
-        _dump(
-            {
-                "n_classes": report.n_classes,
-                "zero_rows": report.zero_rows,
-                "zero_cols": report.zero_cols,
-                "is_rhizomatic": report.is_rhizomatic,
-            }
-        )
-    else:
-        print(f"classes: {report.n_classes}")
-        print(f"zero_rows: {report.zero_rows}")
-        print(f"zero_cols: {report.zero_cols}")
-        print(f"is_rhizomatic: {'true' if report.is_rhizomatic else 'false'}")
+        document = {
+            "n_classes": report.n_classes,
+            "zero_rows": report.zero_rows,
+            "zero_cols": report.zero_cols,
+            "is_rhizomatic": report.is_rhizomatic,
+        }
+        return json.dumps(document, indent=2), 0
+    lines = [
+        f"classes: {report.n_classes}",
+        f"zero_rows: {report.zero_rows}",
+        f"zero_cols: {report.zero_cols}",
+        f"is_rhizomatic: {'true' if report.is_rhizomatic else 'false'}",
+    ]
+    return "\n".join(lines), 0
 
 
 @_command("indecomposable", _arg("seed_file"), _JSON)
-def indecomposable_cmd(seed_file: str, as_json: bool) -> None:
+def indecomposable_cmd(seed_file: str, as_json: bool) -> tuple[str, int]:
     """Classify the module of a seed as indecomposable, decomposable, or unknown."""
     verdict = indecomposable(_load(seed_file, seed_from_json))
     if as_json:
-        _dump(verdict_to_json(verdict))
-    else:
-        print(f"verdict: {verdict.value}")
-        print(f"reason: {verdict.reason}")
-        if verdict.witness is not None:
-            d1, d2 = (len(part) for part in verdict.witness)
-            print(f"witness: invariant summands of dimensions {d1} and {d2}")
-        if verdict.endo_dim is not None:
-            print(f"endomorphism dimension: {verdict.endo_dim}")
+        return json.dumps(verdict_to_json(verdict), indent=2), 0
+    lines = [f"verdict: {verdict.value}", f"reason: {verdict.reason}"]
+    if verdict.witness is not None:
+        d1, d2 = (len(part) for part in verdict.witness)
+        lines.append(f"witness: invariant summands of dimensions {d1} and {d2}")
+    if verdict.endo_dim is not None:
+        lines.append(f"endomorphism dimension: {verdict.endo_dim}")
+    return "\n".join(lines), 0
 
 
 @_command("endo", _arg("rep_file"), _JSON)
-def endo(rep_file: str, as_json: bool) -> None:
+def endo(rep_file: str, as_json: bool) -> tuple[str, int]:
     """Compute the endomorphism algebra of a module."""
     report = endo_report(_load(rep_file, rep_from_json))
     if as_json:
-        _dump(
-            {
-                "dimension": report.dimension,
-                "all_diagonal": report.all_diagonal,
-                "basis": [mat_to_json(m) for m in report.basis],
-            }
-        )
-    else:
-        print(f"dimension: {report.dimension}")
-        print(f"all_diagonal: {'true' if report.all_diagonal else 'false'}")
+        document = {
+            "dimension": report.dimension,
+            "all_diagonal": report.all_diagonal,
+            "basis": [mat_to_json(m) for m in report.basis],
+        }
+        return json.dumps(document, indent=2), 0
+    all_diagonal = "true" if report.all_diagonal else "false"
+    return f"dimension: {report.dimension}\nall_diagonal: {all_diagonal}", 0
 
 
 @_command("canonical", _arg("seed_file"), _JSON)
-def canonical(seed_file: str, as_json: bool) -> None:
+def canonical(seed_file: str, as_json: bool) -> tuple[str, int]:
     """Print the canonical orbit representative of a regular rhizomatic seed."""
     form = canonical_form(_load(seed_file, seed_from_json))
     if as_json:
-        _dump(canonical_to_json(form))
-    else:
-        lines = ["ab: " + " ".join(str(x) for x in form.eigenvalues), "S:"]
-        lines += ["  " + " ".join(str(x) for x in row) for row in form.coupling.entries]
-        _echo_lines(lines)
+        return json.dumps(canonical_to_json(form), indent=2), 0
+    lines = ["ab: " + " ".join(str(x) for x in form.eigenvalues), "S:"]
+    lines += ["  " + " ".join(str(x) for x in row) for row in form.coupling.entries]
+    return "\n".join(lines), 0
 
 
 @_command("isomorphic", _arg("seed_file_1"), _arg("seed_file_2"), _JSON)
-def isomorphic_cmd(seed_file_1: str, seed_file_2: str, as_json: bool) -> None:
+def isomorphic_cmd(seed_file_1: str, seed_file_2: str, as_json: bool) -> tuple[str, int]:
     """Decide isomorphism of two seeds' modules; exit 0 iff isomorphic."""
     answer = isomorphic(
         _load(seed_file_1, seed_from_json), _load(seed_file_2, seed_from_json)
     )
     if as_json:
-        _dump({"isomorphic": answer})
+        text = json.dumps({"isomorphic": answer}, indent=2)
     else:
-        print(f"isomorphic: {'true' if answer else 'false'}")
-    sys.exit(0 if answer else 1)
+        text = f"isomorphic: {'true' if answer else 'false'}"
+    return text, 0 if answer else 1
 
 
 @_command("split", _arg("rep_file"), _JSON)
-def split(rep_file: str, as_json: bool) -> None:
+def split(rep_file: str, as_json: bool) -> tuple[str, int]:
     """Sort a calibrated module into weight blocks and try the core splitter."""
     rep = _load(rep_file, rep_from_json)
     report = verify_periplectic(rep)
     if not report.passed:
         v = report.violations[0]
-        _fail(3, f"input violates {v.relation} at {v.position}: {v.lhs} != {v.rhs}")
+        raise PreconditionError(f"input violates {v.relation} at {v.position}: {v.lhs} != {v.rhs}")
     partition, core, rest = split_weight_blocks(rep)
     core_verdict = split_core(core)
     if as_json:
-        _dump(
-            {
-                "plus_block": list(partition.plus_block),
-                "minus_block": list(partition.minus_block),
-                "other_blocks": [
-                    {
-                        "weight": gauss_to_json(d),
-                        "plus": list(bp),
-                        "minus": list(bm),
-                    }
-                    for d, bp, bm in partition.other_blocks
-                ],
-                "core": rep_to_json(core),
-                "rest": None if rest is None else rep_to_json(rest),
-                "core_split": verdict_to_json(core_verdict),
-            }
-        )
+        document = {
+            "plus_block": list(partition.plus_block),
+            "minus_block": list(partition.minus_block),
+            "other_blocks": [
+                {
+                    "weight": gauss_to_json(d),
+                    "plus": list(bp),
+                    "minus": list(bm),
+                }
+                for d, bp, bm in partition.other_blocks
+            ],
+            "core": rep_to_json(core),
+            "rest": None if rest is None else rep_to_json(rest),
+            "core_split": verdict_to_json(core_verdict),
+        }
+        return json.dumps(document, indent=2), 0
+    lines = [
+        "plus_block: " + " ".join(map(str, partition.plus_block)),
+        "minus_block: " + " ".join(map(str, partition.minus_block)),
+    ]
+    if partition.other_blocks:
+        for d, bp, bm in partition.other_blocks:
+            plus = " ".join(map(str, bp))
+            minus = " ".join(map(str, bm))
+            lines.append(f"paired block d={d}: plus [{plus}] minus [{minus}]")
     else:
-        lines = [
-            "plus_block: " + " ".join(map(str, partition.plus_block)),
-            "minus_block: " + " ".join(map(str, partition.minus_block)),
-        ]
-        if partition.other_blocks:
-            for d, bp, bm in partition.other_blocks:
-                plus = " ".join(map(str, bp))
-                minus = " ".join(map(str, bm))
-                lines.append(f"paired block d={d}: plus [{plus}] minus [{minus}]")
-        else:
-            lines.append("paired blocks: none")
-        lines.append(f"core: dimension {core.dim} ({core.k} + {core.l})")
-        lines.append(f"rest: {'none' if rest is None else f'dimension {rest.dim}'}")
-        lines.append(f"core_split: {core_verdict.value} ({core_verdict.reason})")
-        _echo_lines(lines)
+        lines.append("paired blocks: none")
+    lines.append(f"core: dimension {core.dim} ({core.k} + {core.l})")
+    lines.append(f"rest: {'none' if rest is None else f'dimension {rest.dim}'}")
+    lines.append(f"core_split: {core_verdict.value} ({core_verdict.reason})")
+    return "\n".join(lines), 0
 
 
 def _fuzz_trial(rng: random.Random, kmax: int, lmax: int) -> list[str]:
@@ -344,30 +328,28 @@ def _fuzz_trial(rng: random.Random, kmax: int, lmax: int) -> list[str]:
          help="pseudo-random seed (default: %(default)s)"),
     _JSON,
 )
-def fuzz(kmax: int, lmax: int, trials: int, rng_seed: int, as_json: bool) -> None:
+def fuzz(kmax: int, lmax: int, trials: int, rng_seed: int, as_json: bool) -> tuple[str, int]:
     """Run the random property suite; reproducible for a fixed --seed."""
     rng = random.Random(rng_seed)
     failures: list[dict] = []
     for trial in range(trials):
         for problem in _fuzz_trial(rng, kmax, lmax):
             failures.append({"trial": trial, "problem": problem})
+    code = 1 if failures else 0
     if as_json:
-        _dump(
-            {
-                "kmax": kmax,
-                "lmax": lmax,
-                "trials": trials,
-                "seed": rng_seed,
-                "passed": not failures,
-                "failures": failures,
-            }
-        )
-    else:
-        print(f"fuzz kmax={kmax} lmax={lmax} trials={trials} seed={rng_seed}")
-        for failure in failures:
-            print(f"FAIL trial {failure['trial']}: {failure['problem']}")
-        print(f"{trials - len({f['trial'] for f in failures})}/{trials} trials passed")
-    sys.exit(1 if failures else 0)
+        document = {
+            "kmax": kmax,
+            "lmax": lmax,
+            "trials": trials,
+            "seed": rng_seed,
+            "passed": not failures,
+            "failures": failures,
+        }
+        return json.dumps(document, indent=2), code
+    lines = [f"fuzz kmax={kmax} lmax={lmax} trials={trials} seed={rng_seed}"]
+    lines += [f"FAIL trial {f['trial']}: {f['problem']}" for f in failures]
+    lines.append(f"{trials - len({f['trial'] for f in failures})}/{trials} trials passed")
+    return "\n".join(lines), code
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -386,16 +368,20 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(args: list[str] | None = None) -> NoReturn:
-    """Run the verb named in `args` (default: the command line) and exit
-    with its code; a usage error exits 2."""
+    """Run the verb named in `args` (default: the command line), write its
+    text to stdout and exit with its code.  Unreadable or unparseable input
+    (CodecError) exits 2 and input outside an operation's hypotheses
+    (PreconditionError, ShapeError) exits 3, each with the message alone on
+    stderr; a usage error exits 2."""
     options = vars(_parser().parse_args(args))
     verb = options.pop("verb")
     try:
-        main.commands[verb].callback(**options)
-    except (PreconditionError, ShapeError) as exc:
-        # input outside an operation's hypotheses
-        _fail(3, str(exc))
-    sys.exit(0)
+        text, code = main.commands[verb].callback(**options)
+    except (CodecError, PreconditionError, ShapeError) as exc:
+        print(exc, file=sys.stderr)
+        sys.exit(2 if isinstance(exc, CodecError) else 3)
+    print(text)
+    sys.exit(code)
 
 
 # verb -> _Command; the callback is looked up on every call, so it may be

@@ -12,11 +12,15 @@ import pytest
 
 import periplectic
 from periplectic import (
+    CodecError,
+    EndoReport,
     GaussRat,
     Mat,
     PreconditionError,
+    RelationReport,
     Seed,
     ShapeError,
+    Violation,
     build_rep,
     rep_to_json,
     seed_to_json,
@@ -62,15 +66,6 @@ def _write(tmp_path, name: str, content: str) -> str:
     path = tmp_path / name
     path.write_text(content)
     return str(path)
-
-
-def _json_error(text: bytes) -> str:
-    """The interpreter's own message for JSON it refuses to read."""
-    try:
-        json.loads(text)
-    except ValueError as exc:
-        return str(exc)
-    raise AssertionError("text parses")
 
 
 # an integer literal past the interpreter's int-to-str digit limit
@@ -261,7 +256,7 @@ class TestInputErrors:
             (b"\xff\xfe{", "not UTF-8 text: invalid start byte at byte 0"),
             # opens like a seed document, so rhizome parses it as JSON too
             (b'{"S": ' + b"[" * 100_000, "JSON nested too deeply"),
-            (LONG_INT, _json_error(LONG_INT)),
+            (LONG_INT, f"a JSON integer has more than {sys.get_int_max_str_digits()} digits"),
         ],
         ids=["invalid_utf8", "deep_nesting", "long_integer"],
     )
@@ -507,6 +502,33 @@ class TestSplit:
         assert "input violates" in result.stderr
 
 
+# each fuzz property: the `cli` global replaced so that it fails, the
+# failure it reports and the trials of `fuzz --seed 1 --trials 3` that report
+# it; the last three need e_nonzero_guarantee, which holds in trial 2 only
+FUZZ_FAILURES = [
+    (
+        "verify_periplectic",
+        lambda rep: RelationReport(
+            False, (Violation("s*s = 1", (0, 1), GaussRat(1), GaussRat(0)),), ("s*s = 1",)
+        ),
+        "relation s*s = 1 fails at (0, 1)",
+        [0, 1, 2],
+    ),
+    ("entrywise_e", lambda seed: None, "e block disagrees with the entrywise formula", [0, 1, 2]),
+    ("e_sandwich_zero", lambda rep, poly: False, "e * f(y1, y2) * e is nonzero", [0, 1, 2]),
+    (
+        "endo_report",
+        lambda rep: EndoReport(0, (), True),
+        "endomorphism dimension disagrees with the component count",
+        [0, 1, 2],
+    ),
+    ("rep_from_json", lambda document: None, "module does not survive a serialization round trip", [0, 1, 2]),
+    ("e_is_zero", lambda rep: True, "guaranteed-nonzero e is zero", [2]),
+    ("canonical_form", lambda seed: object(), "canonical form moved under the group action", [2]),
+    ("isomorphic", lambda one, two: False, "acted seed not isomorphic to the original", [2]),
+]
+
+
 class TestFuzz:
     def test_deterministic_and_green(self):
         args = ["fuzz", "--trials", "12", "--seed", "7"]
@@ -529,21 +551,22 @@ class TestFuzz:
     def test_failure_report(self, monkeypatch, flags):
         from periplectic import cli
 
-        monkeypatch.setattr(cli, "e_sandwich_zero", lambda rep, poly: False)
-        result = run_cli(["fuzz", "--seed", "1", "--trials", "3", *flags])
-        assert result.exit_code == 1
-        assert result.stderr == ""
-        problem = "e * f(y1, y2) * e is nonzero"
-        if flags:
-            document = json.loads(result.stdout)
-            assert document["passed"] is False
-            assert document["failures"] == [{"trial": t, "problem": problem} for t in range(3)]
-        else:
-            assert result.stdout == (
-                "fuzz kmax=4 lmax=4 trials=3 seed=1\n"
-                + "".join(f"FAIL trial {t}: {problem}\n" for t in range(3))
-                + "0/3 trials passed\n"
-            )
+        for name, replacement, problem, trials in FUZZ_FAILURES:
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, name, replacement)
+                result = run_cli(["fuzz", "--seed", "1", "--trials", "3", *flags])
+            assert result.exit_code == 1, name
+            assert result.stderr == ""
+            if flags:
+                document = json.loads(result.stdout)
+                assert document["passed"] is False
+                assert document["failures"] == [{"trial": t, "problem": problem} for t in trials]
+            else:
+                assert result.stdout == (
+                    "fuzz kmax=4 lmax=4 trials=3 seed=1\n"
+                    + "".join(f"FAIL trial {t}: {problem}\n" for t in trials)
+                    + f"{3 - len(trials)}/3 trials passed\n"
+                )
 
     def test_smallest_counts_run(self):
         result = run_cli(["fuzz", "--kmax", "1", "--lmax", "1", "--trials", "3"])
@@ -620,7 +643,12 @@ class TestUsageErrors:
 def test_callbacks_are_looked_up_at_call_time(monkeypatch):
     """The benchmark's traced launcher replaces `callback` after import."""
     calls = []
-    monkeypatch.setattr(main.commands["split"], "callback", lambda **kw: calls.append(kw))
+
+    def callback(**options):
+        calls.append(options)
+        return "", 0
+
+    monkeypatch.setattr(main.commands["split"], "callback", callback)
     result = run_cli(["split", "--json", "rep.json"])
     assert result.exit_code == 0
     assert calls == [{"rep_file": "rep.json", "as_json": True}]
@@ -643,17 +671,17 @@ VERB_ARGS = {
 @pytest.mark.parametrize("verb", list(VERB_ARGS))
 def test_hypothesis_errors_exit_3(monkeypatch, verb):
     """`main` turns a PreconditionError or ShapeError raised by any verb,
-    including a callback replaced after import, into exit 3 with the
-    message alone."""
+    including a callback replaced after import, into exit 3, and a
+    CodecError into exit 2, each with the message alone."""
     assert set(VERB_ARGS) == set(main.commands)
-    for error in (PreconditionError("x"), ShapeError("y")):
+    for error, code in ((PreconditionError("x"), 3), (ShapeError("y"), 3), (CodecError("z"), 2)):
 
         def callback(**options):
             raise error
 
         monkeypatch.setattr(main.commands[verb], "callback", callback)
         result = run_cli([verb, *VERB_ARGS[verb]])
-        assert result.exit_code == 3
+        assert result.exit_code == code
         assert result.stdout == ""
         assert result.stderr == f"{error}\n"
 

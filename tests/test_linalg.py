@@ -321,6 +321,15 @@ class TestMat:
         with pytest.raises(ShapeError):
             Mat.block([[Mat.identity(2), Mat.zero(1, 1)]])
 
+    @pytest.mark.parametrize("grid", [[], [[]]], ids=["no_rows", "empty_row"])
+    def test_block_grid_must_be_non_empty(self, grid):
+        with pytest.raises(ShapeError, match="^block grid must be non-empty$"):
+            Mat.block(grid)
+
+    def test_ragged_block_grid(self):
+        with pytest.raises(ShapeError, match="^ragged block grid$"):
+            Mat.block([[Mat.identity(2), Mat.zero(2, 1)], [Mat.zero(1, 2)]])
+
 
 class TestMatCodec:
     def test_round_trip(self):
@@ -402,6 +411,19 @@ class TestCommutant:
     def test_empty_generator_list_rejected(self):
         with pytest.raises(ShapeError):
             commutant_basis([])
+
+    @pytest.mark.parametrize(
+        "gens",
+        [[Mat([[1, 2]])], [Mat.identity(2), Mat.identity(3)], [Mat.identity(2), Mat([[1, 2], [3, 4], [5, 6]])]],
+        ids=["not_square", "sizes_differ", "second_not_square"],
+    )
+    def test_generators_must_be_square_of_equal_size(self, gens):
+        with pytest.raises(ShapeError, match="^generators must be square matrices of equal size$"):
+            commutant_basis(gens)
+
+    def test_size_zero_has_empty_basis(self):
+        assert commutant_basis([Mat.zero(0, 0)]) == []
+        assert commutant_basis([Mat.zero(0, 0), Mat.identity(0)]) == []
 
     def test_against_full_system_oracle(self):
         rng = random.Random(13)

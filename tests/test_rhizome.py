@@ -106,6 +106,16 @@ class TestAnalyze:
         m = random_rhizomatic_matrix(rng, 3, 5, density=1.0)
         assert analyze(m).is_rhizomatic
 
+    def test_fallback_has_no_zero_entry(self):
+        # density 0 draws only zero matrices, which are never rhizomatic, so
+        # every attempt fails and the fallback fills every cell
+        assert not analyze(Mat.zero(3, 4)).is_rhizomatic
+        rng = random.Random(43)
+        m = random_rhizomatic_matrix(rng, 3, 4, density=0.0)
+        assert m.shape == (3, 4)
+        assert all(x != ZERO for row in m.entries for x in row)
+        assert analyze(m).is_rhizomatic
+
     def test_labels_number_by_first_appearance(self):
         labels = analyze(parse_pattern(PATTERN_TWO_CLASSES)).class_labels
         assert labels[(0, 3)] == 0
