@@ -15,9 +15,10 @@ from .errors import CodecError, ShapeError
 from .linalg import (
     GaussRat,
     Mat,
-    ZERO,
     _decode_at,
     _json_kind,
+    _reduce,
+    _word_row,
     as_gauss,
     mat_from_json,
     mat_to_json,
@@ -93,60 +94,50 @@ class RelationReport(Record):
     checked: tuple[str, ...]
 
 
-def _first_mismatch(lhs: Mat, rhs: Mat) -> tuple[tuple[int, int], GaussRat, GaussRat] | None:
-    for i, (lrow, rrow) in enumerate(zip(lhs.nonzero, rhs.nonzero)):
-        if lrow != rrow:
-            j = min(
-                c for c in lrow.keys() | rrow.keys() if lrow.get(c, ZERO) != rrow.get(c, ZERO)
-            )
-            return (i, j), lrow.get(j, ZERO), rrow.get(j, ZERO)
-    return None
-
-
-def _run_checks(checks: list[tuple[str, Mat, Mat]]) -> RelationReport:
+def _check(n: int, relations: list[tuple[str, list, list]]) -> RelationReport:
+    """Check relations (name, lhs words, rhs words), each side a sum of
+    words as `linalg._word_row` takes them.  A violation is the first row
+    where lhs - rhs is nonzero, at its smallest such column: the one entry
+    where lhs and rhs are reduced, once each."""
     violations = []
-    for name, lhs, rhs in checks:
-        hit = _first_mismatch(lhs, rhs)
-        if hit is not None:
-            position, a, b = hit
-            violations.append(Violation(name, position, a, b))
-    return RelationReport(
-        not violations, tuple(violations), tuple(name for name, _, _ in checks)
-    )
+    for name, lhs, rhs in relations:
+        difference = lhs + [(-c, *mats) for c, *mats in rhs]
+        for i in range(n):
+            hit = [j for j, (a, b, _) in _word_row(difference, i).items() if a or b]
+            if hit:
+                j = min(hit)
+                sides = (_word_row(words, i).get(j, (0, 0, 1)) for words in (lhs, rhs))
+                violations.append(Violation(name, (i, j), *(_reduce(*t) for t in sides)))
+                break
+    return RelationReport(not violations, tuple(violations), tuple(r[0] for r in relations))
 
 
 def verify_periplectic(rep: Rep) -> RelationReport:
     """Check all nine defining relations; the report carries the first
     offending entry of each relation that fails."""
     y1, y2, s, e = rep.generators()
-    n = rep.dim
-    one = Mat.identity(n)
-    zero = Mat.zero(n, n)
-    checks = [
-        ("s*s = 1", s * s, one),
-        ("y1*y2 = y2*y1", y1 * y2, y2 * y1),
-        ("s*y1 = y2*s - 1 - e", s * y1, y2 * s - one - e),
-        ("s*y2 = y1*s + 1 - e", s * y2, y1 * s + one - e),
-        ("e*e = 0", e * e, zero),
-        ("e*s = e", e * s, e),
-        ("s*e = -e", s * e, -e),
-        ("e*y2 = e*y1 + e", e * y2, e * y1 + e),
-        ("y1*e = y2*e + e", y1 * e, y2 * e + e),
-    ]
-    return _run_checks(checks)
+    return _check(rep.dim, [
+        ("s*s = 1", [(1, s, s)], [(1,)]),
+        ("y1*y2 = y2*y1", [(1, y1, y2)], [(1, y2, y1)]),
+        ("s*y1 = y2*s - 1 - e", [(1, s, y1)], [(1, y2, s), (-1,), (-1, e)]),
+        ("s*y2 = y1*s + 1 - e", [(1, s, y2)], [(1, y1, s), (1,), (-1, e)]),
+        ("e*e = 0", [(1, e, e)], []),
+        ("e*s = e", [(1, e, s)], [(1, e)]),
+        ("s*e = -e", [(1, s, e)], [(-1, e)]),
+        ("e*y2 = e*y1 + e", [(1, e, y2)], [(1, e, y1), (1, e)]),
+        ("y1*e = y2*e + e", [(1, y1, e)], [(1, y2, e), (1, e)]),
+    ])
 
 
 def verify_hecke(rep: Rep) -> RelationReport:
     """Check the four degenerate affine Hecke relations on (y1, y2, s)."""
     y1, y2, s, _ = rep.generators()
-    one = Mat.identity(rep.dim)
-    checks = [
-        ("s*s = 1", s * s, one),
-        ("y1*y2 = y2*y1", y1 * y2, y2 * y1),
-        ("s*y1 = y2*s - 1", s * y1, y2 * s - one),
-        ("s*y2 = y1*s + 1", s * y2, y1 * s + one),
-    ]
-    return _run_checks(checks)
+    return _check(rep.dim, [
+        ("s*s = 1", [(1, s, s)], [(1,)]),
+        ("y1*y2 = y2*y1", [(1, y1, y2)], [(1, y2, y1)]),
+        ("s*y1 = y2*s - 1", [(1, s, y1)], [(1, y2, s), (-1,)]),
+        ("s*y2 = y1*s + 1", [(1, s, y2)], [(1, y1, s), (1,)]),
+    ])
 
 
 def poly_matrix(

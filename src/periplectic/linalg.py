@@ -691,6 +691,28 @@ def mat_from_json(data: object, *, rows: int, cols: int) -> Mat:
     return Mat._from_rows(out, cols)
 
 
+def _word_row(words: Iterable[tuple], i: int) -> dict[int, tuple[int, int, int]]:
+    """Row i of the sum of words c*L*R, c = 1 or -1, as unreduced (a, b, d)
+    triples by column, built with no intermediate Mat.  R, or L and R, may
+    be left out of a word (c, L, R); each stands for the identity.  As in
+    the `_echelon` row update, sums add numerators when denominators match
+    and cross-multiply otherwise; a sum that cancels keeps a zero pair."""
+    acc: dict[int, tuple[int, int, int]] = {}
+    for c, *mats in words:
+        for p, x in (mats[0].nonzero[i] if mats else {i: ONE}).items():
+            xa, xb, xd = c * x._a, c * x._b, x._d
+            for j, y in mats[1].nonzero[p].items() if len(mats) > 1 else ((p, ONE),):
+                a, b, d = xa * y._a - xb * y._b, xa * y._b + xb * y._a, xd * y._d
+                v = acc.get(j)
+                if v is None:
+                    acc[j] = (a, b, d)
+                elif v[2] == d:
+                    acc[j] = (v[0] + a, v[1] + b, d)
+                else:
+                    acc[j] = (v[0] * d + a * v[2], v[1] * d + b * v[2], v[2] * d)
+    return acc
+
+
 def _echelon(
     rows: Sequence[Mapping[int, GaussRat]],
 ) -> tuple[list[Mapping[int, GaussRat]], list[int]]:

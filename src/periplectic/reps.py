@@ -18,6 +18,8 @@ from .linalg import (
     ZERO,
     _decode_at,
     _json_kind,
+    _reduce,
+    _word_row,
     as_gauss,
     gauss_from_json,
     gauss_to_json,
@@ -123,13 +125,17 @@ def build_hecke_module(k: int, l: int, coupling: Mat) -> Rep:
 
 def build_rep(seed: Seed) -> Rep:
     """Shift the Hecke module by the seed eigenvalues and derive e from the
-    mixed relation e = -s*y2 + y1*s + 1."""
+    mixed relation e = 1 + y1*s - s*y2, one row at a time through
+    `linalg._word_row`, with one gcd per stored entry."""
     base = build_hecke_module(seed.k, seed.l, seed.coupling)
     shift = Mat.diagonal(seed.eigenvalues)
     y1 = base.y1 + shift
     y2 = base.y2 + shift
     s = base.s
-    e = -(s * y2) + y1 * s + Mat.identity(seed.k + seed.l)
+    rows = (_word_row([(1,), (1, y1, s), (-1, s, y2)], i) for i in range(s.rows))
+    e = Mat._from_rows(
+        [{j: _reduce(*t) for j, t in r.items() if t[0] or t[1]} for r in rows], s.rows
+    )
     return Rep(seed.k, seed.l, y1=y1, y2=y2, s=s, e=e)
 
 

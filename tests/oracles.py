@@ -6,8 +6,10 @@ and it computes on (re, im) pairs of stdlib Fractions rather than on
 GaussRat, converting only where an oracle takes or returns library values;
 the commutant system is assembled over all matrix positions with no
 presolve; isomorphism is decided by enumerating permutations and
-propagating scalings along the zero pattern; and zero-pattern classes and
-components come from a dense flood fill rather than the library's walk.
+propagating scalings along the zero pattern; zero-pattern classes and
+components come from a dense flood fill rather than the library's walk;
+and relation reports come from both sides of each relation evaluated in
+full on dense grids of Fraction pairs, rather than from generator words.
 """
 
 from __future__ import annotations
@@ -394,13 +396,15 @@ def pair_scale(c: Pair, a: PairGrid) -> PairGrid:
 
 
 def pair_product(a: PairGrid, b: PairGrid, cols: int) -> PairGrid:
-    out = pair_zero_grid(len(a), cols)
-    for i, row in enumerate(a):
-        for j in range(cols):
-            acc = _PAIR_ZERO
-            for p, x in enumerate(row):
-                acc = pair_add(acc, pair_mul(x, b[p][j]))
-            out[i][j] = acc
+    """Each output row is the sum of the rows of b, scaled by the entries of
+    the row of a; zero entries on either side are skipped."""
+    out = []
+    for row in a:
+        acc = [_PAIR_ZERO] * cols
+        for p, x in enumerate(row):
+            if any(x):
+                acc = [pair_add(v, pair_mul(x, y)) if any(y) else v for v, y in zip(acc, b[p])]
+        out.append(acc)
     return out
 
 
@@ -428,3 +432,49 @@ def pair_is_diagonal(a: PairGrid, cols: int) -> bool:
 
 def pairs_to_gauss(a: PairGrid) -> list[list[GaussRat]]:
     return [[GaussRat(*x) for x in row] for row in a]
+
+
+def oracle_relation_report(
+    rep: Rep, hecke: bool = False
+) -> tuple[bool, list[tuple[str, tuple[int, int], Pair, Pair]], list[str]]:
+    """(passed, violations, checked) as verify_periplectic reports them, or
+    verify_hecke when `hecke`: both sides of every relation are evaluated in
+    full on dense (re, im) Fraction grids, and a violation is the first
+    entry, in row-major order, where they differ, with both values."""
+    n = rep.dim
+    y1, y2, s, e = (_pairs(m.entries) for m in rep.generators())
+    one = pair_diagonal([_PAIR_ONE] * n)
+
+    def mul(a: PairGrid, b: PairGrid) -> PairGrid:
+        return pair_product(a, b, n)
+
+    def sub(a: PairGrid, b: PairGrid) -> PairGrid:
+        return pair_sum(a, pair_neg(b))
+
+    if hecke:
+        sides = [
+            ("s*s = 1", mul(s, s), one),
+            ("y1*y2 = y2*y1", mul(y1, y2), mul(y2, y1)),
+            ("s*y1 = y2*s - 1", mul(s, y1), sub(mul(y2, s), one)),
+            ("s*y2 = y1*s + 1", mul(s, y2), pair_sum(mul(y1, s), one)),
+        ]
+    else:
+        sides = [
+            ("s*s = 1", mul(s, s), one),
+            ("y1*y2 = y2*y1", mul(y1, y2), mul(y2, y1)),
+            ("s*y1 = y2*s - 1 - e", mul(s, y1), sub(sub(mul(y2, s), one), e)),
+            ("s*y2 = y1*s + 1 - e", mul(s, y2), sub(pair_sum(mul(y1, s), one), e)),
+            ("e*e = 0", mul(e, e), pair_zero_grid(n, n)),
+            ("e*s = e", mul(e, s), e),
+            ("s*e = -e", mul(s, e), pair_neg(e)),
+            ("e*y2 = e*y1 + e", mul(e, y2), pair_sum(mul(e, y1), e)),
+            ("y1*e = y2*e + e", mul(y1, e), pair_sum(mul(y2, e), e)),
+        ]
+    violations = []
+    for name, lhs, rhs in sides:
+        cells = ((i, j) for i in range(n) for j in range(n))
+        hit = next(((i, j) for i, j in cells if lhs[i][j] != rhs[i][j]), None)
+        if hit is not None:
+            i, j = hit
+            violations.append((name, hit, lhs[i][j], rhs[i][j]))
+    return not violations, violations, [name for name, _, _ in sides]

@@ -14,6 +14,7 @@ from periplectic import (
     Rep,
     Seed,
     ShapeError,
+    build_one_dim,
     build_rep,
     e_is_zero,
     e_sandwich_zero,
@@ -23,7 +24,9 @@ from periplectic import (
     verify_hecke,
     verify_periplectic,
 )
-from periplectic.sampling import random_polynomial, random_seed
+from periplectic.sampling import random_nonzero_gauss, random_polynomial, random_seed
+
+from oracles import oracle_relation_report, to_pair
 
 PERIPLECTIC_RELATIONS = (
     "s*s = 1",
@@ -70,10 +73,12 @@ def test_corrupted_module_reports_first_offending_entry(reference_seed):
     assert not report.passed
     names = [v.relation for v in report.violations]
     assert names == ["s*y1 = y2*s - 1 - e", "s*y2 = y1*s + 1 - e"]
-    first = report.violations[0]
-    # the first nonzero entry of the dropped e block explains the mismatch
-    assert first.position == (0, 4)
-    assert first.lhs - first.rhs == GaussRat(1, -2)
+    # the first nonzero entry of the dropped e block, (a_0 - b_1)*S_01 =
+    # 1 - 2i, explains both mismatches
+    assert [(v.position, v.lhs, v.rhs) for v in report.violations] == [
+        ((0, 4), GaussRat(0), GaussRat(-1, 2)),
+        ((0, 4), GaussRat(1), GaussRat(0, 2)),
+    ]
 
 
 def test_hecke_verifier_ignores_e():
@@ -86,6 +91,111 @@ def test_hecke_verifier_ignores_e():
         # the module factors through the Hecke quotient exactly when e vanishes
         assert hecke.passed == e_is_zero(rep)
         assert hecke.checked == HECKE_RELATIONS
+
+
+def _changed(rep: Rep, name: str, i: int, j: int, delta: GaussRat) -> Rep:
+    """rep with delta added to entry (i, j) of the generator `name`."""
+    grid = [list(row) for row in getattr(rep, name).entries]
+    grid[i][j] += delta
+    mats = dict(zip(("y1", "y2", "s", "e"), rep.generators()))
+    mats[name] = Mat(grid, cols=rep.dim)
+    return Rep(rep.k, rep.l, **mats)
+
+
+def _unitriangular_conjugate(rep: Rep, rng: random.Random) -> Rep:
+    """u^-1 * g * u for each generator g, with u unit upper triangular and
+    every entry above the diagonal a nonzero Gaussian rational."""
+    n = rep.dim
+    u = [[GaussRat(1) if j == i else random_nonzero_gauss(rng) if j > i else GaussRat(0)
+          for j in range(n)] for i in range(n)]
+    # the rows of u^-1 from the last up: row i is e_i - sum_{j > i} u_ij (u^-1)_j
+    inv: list[list[GaussRat]] = [[]] * n
+    for i in reversed(range(n)):
+        row = [GaussRat(int(j == i)) for j in range(n)]
+        for j in range(i + 1, n):
+            row = [x - u[i][j] * y for x, y in zip(row, inv[j])]
+        inv[i] = row
+    return Rep(rep.k, rep.l, *(Mat(inv) * g * Mat(u) for g in rep.generators()))
+
+
+def _assert_reports_match_oracle(rep: Rep) -> None:
+    for verify, hecke in ((verify_periplectic, False), (verify_hecke, True)):
+        report = verify(rep)
+        passed, violations, checked = oracle_relation_report(rep, hecke)
+        assert report.passed == passed
+        assert report.checked == tuple(checked)
+        assert [
+            (v.relation, v.position, to_pair(v.lhs), to_pair(v.rhs)) for v in report.violations
+        ] == violations
+
+
+def _repeated_seed(rng: random.Random) -> Seed:
+    """A random seed whose last two b shifts are equal when k = 1 < l, and
+    whose second shift equals its first otherwise (a_1 = a_0, or b_0 = a_0
+    when k = 1)."""
+    seed = random_seed(rng)
+    ab = list(seed.eigenvalues)
+    if seed.k == 1 < seed.l:
+        ab[-1] = ab[-2]
+    else:
+        ab[1] = ab[0]
+    return Seed(seed.k, seed.l, seed.coupling, tuple(ab))
+
+
+class TestReportsMatchOracle:
+    def test_built_modules(self):
+        rng = random.Random(31)
+        for t in range(30):
+            seed = _repeated_seed(rng) if t % 3 == 0 else random_seed(rng, constant=t % 3 == 1)
+            rep = build_rep(seed)
+            assert verify_periplectic(rep).passed
+            _assert_reports_match_oracle(rep)
+
+    @pytest.mark.parametrize(
+        "name, off_diagonal",
+        [("y1", False), ("y1", True), ("y2", False), ("s", False), ("e", False)],
+    )
+    def test_one_entry_changed(self, name, off_diagonal):
+        rng = random.Random(f"changed {name} {off_diagonal}")
+        failed = 0
+        for t in range(25):
+            rep = build_rep(_repeated_seed(rng) if t % 2 else random_seed(rng))
+            n = rep.dim
+            if off_diagonal:
+                i, j = rng.sample(range(n), 2)
+            else:
+                i, j = rng.randrange(n), rng.randrange(n)
+            changed = _changed(rep, name, i, j, random_nonzero_gauss(rng))
+            if off_diagonal:
+                assert not changed.is_calibrated
+            _assert_reports_match_oracle(changed)
+            failed += not verify_periplectic(changed).passed
+        assert failed >= 20
+
+    def test_dense_unitriangular_conjugates(self):
+        rng = random.Random(33)
+        for t in range(8):
+            rep = _unitriangular_conjugate(build_rep(random_seed(rng, 6, 6)), rng)
+            assert rep.dim <= 12 and not rep.is_calibrated
+            _assert_reports_match_oracle(rep)
+            n = rep.dim
+            name = ("y1", "y2", "s", "e")[t % 4]
+            changed = _changed(rep, name, rng.randrange(n), rng.randrange(n), GaussRat(1))
+            assert not verify_periplectic(changed).passed
+            _assert_reports_match_oracle(changed)
+
+    def test_dimensions_zero_and_one(self):
+        empty = Mat([], cols=0)
+        reps = [Rep(0, 0, empty, empty, empty, empty)]
+        for a, sign in ((GaussRat(2), "+"), (GaussRat("1/3", -1), "-")):
+            line = build_one_dim(a, sign)
+            reps.append(line)
+            # adding i to any one entry breaks a relation
+            reps += [_changed(line, g, 0, 0, GaussRat(0, 1)) for g in ("y1", "y2", "s", "e")]
+        for rep in reps:
+            _assert_reports_match_oracle(rep)
+        passed = [verify_periplectic(rep).passed for rep in reps]
+        assert passed == [True] + ([True] + [False] * 4) * 2
 
 
 def test_poly_matrix_explicit():

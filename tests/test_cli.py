@@ -62,6 +62,55 @@ def rep_file(tmp_path):
     return str(path)
 
 
+# a k = l = 3 module with y1[0][1] and e[4][1] changed, so eight of the nine
+# relations fail; the expected output pins the rational strings of each
+# first offending entry
+BROKEN_K3 = Seed(
+    3,
+    3,
+    coupling=Mat([[1, 2, 0], [0, -1, 3], ["1/2", 0, 1]]),
+    eigenvalues=(
+        GaussRat("1/2"),
+        GaussRat(0, 2),
+        GaussRat(-1),
+        GaussRat(3),
+        GaussRat("1/3", 1),
+        GaussRat(0),
+    ),
+)
+
+BROKEN_K3_TEXT = """\
+ok   s*s = 1
+FAIL y1*y2 = y2*y1  at (0, 1): -1/2+i != -1/4
+FAIL s*y1 = y2*s - 1 - e  at (0, 1): -1/2 != 0
+FAIL s*y2 = y1*s + 1 - e  at (0, 1): 0 != -1/2
+FAIL e*e = 0  at (0, 1): -37/9i != 0
+FAIL e*s = e  at (4, 1): -2+1/3i != 2-1/3i
+FAIL s*e = -e  at (0, 1): 4-2/3i != 0
+FAIL e*y2 = e*y1 + e  at (4, 1): -4/3+13/3i != 8/3+11/3i
+FAIL y1*e = y2*e + e  at (0, 4): 1/3-3/2i != 1/6-i
+"""
+
+BROKEN_K3_VIOLATIONS = [
+    ("y1*y2 = y2*y1", (0, 1), ["-1/2", "1/1"], ["-1/4", "0/1"]),
+    ("s*y1 = y2*s - 1 - e", (0, 1), ["-1/2", "0/1"], ["0/1", "0/1"]),
+    ("s*y2 = y1*s + 1 - e", (0, 1), ["0/1", "0/1"], ["-1/2", "0/1"]),
+    ("e*e = 0", (0, 1), ["0/1", "-37/9"], ["0/1", "0/1"]),
+    ("e*s = e", (4, 1), ["-2/1", "1/3"], ["2/1", "-1/3"]),
+    ("s*e = -e", (0, 1), ["4/1", "-2/3"], ["0/1", "0/1"]),
+    ("e*y2 = e*y1 + e", (4, 1), ["-4/3", "13/3"], ["8/3", "11/3"]),
+    ("y1*e = y2*e + e", (0, 4), ["1/3", "-3/2"], ["1/6", "-1/1"]),
+]
+
+
+@pytest.fixture
+def broken_k3_file(tmp_path):
+    data = rep_to_json(build_rep(BROKEN_K3))
+    data["y1"][0][1] = ["1/2", "0/1"]
+    data["e"][4][1] = ["2/1", "-1/3"]
+    return _write(tmp_path, "broken-k3.json", json.dumps(data))
+
+
 def _write(tmp_path, name: str, content: str) -> str:
     path = tmp_path / name
     path.write_text(content)
@@ -108,6 +157,21 @@ class TestConstructVerify:
                 ("s*y1 = y2*s - 1 - e", "6/1", "4/1"),
                 ("s*y2 = y1*s + 1 - e", "9/1", "7/1"),
             )
+        ]
+        document = {"passed": False, "violations": violations}
+        assert result.stdout == json.dumps(document, indent=2) + "\n"
+
+    def test_verify_pins_failing_relations(self, broken_k3_file):
+        result = run_cli(["verify", broken_k3_file])
+        assert (result.exit_code, result.stderr) == (1, "")
+        assert result.stdout == BROKEN_K3_TEXT
+
+    def test_verify_json_pins_failing_relations(self, broken_k3_file):
+        result = run_cli(["verify", "--json", broken_k3_file])
+        assert (result.exit_code, result.stderr) == (1, "")
+        violations = [
+            {"relation": relation, "position": list(position), "lhs": lhs, "rhs": rhs}
+            for relation, position, lhs, rhs in BROKEN_K3_VIOLATIONS
         ]
         document = {"passed": False, "violations": violations}
         assert result.stdout == json.dumps(document, indent=2) + "\n"
