@@ -416,6 +416,18 @@ class Mat:
         return m
 
     @classmethod
+    def _from_words(cls, words: Sequence[tuple], rows: int, cols: int) -> "Mat":
+        """The sum of words c*L*R (see `_word_row`) as a rows x cols Mat: the
+        builder of every Mat sum and product, one gcd per stored entry."""
+        return cls._from_rows(
+            [
+                {j: _reduce(a, b, d) for j, (a, b, d) in _word_row(words, i).items() if a or b}
+                for i in range(rows)
+            ],
+            cols,
+        )
+
+    @classmethod
     def zero(cls, rows: int, cols: int) -> "Mat":
         return cls._from_rows([{}] * rows, cols)
 
@@ -506,41 +518,21 @@ class Mat:
         return hash((self.shape, tuple(frozenset(row.items()) for row in self.nonzero)))
 
     def __neg__(self) -> "Mat":
-        return Mat._from_rows(
-            [{j: -x for j, x in row.items()} for row in self.nonzero], self.cols
-        )
+        return Mat._from_words([(-1, self)], self.rows, self.cols)
 
     def __add__(self, other: "Mat") -> "Mat":
-        return self._combine(other, False)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Mat") -> "Mat":
-        return self._combine(other, True)
+        return self._combine(other, -1)
 
-    def _combine(self, other: object, subtract: bool) -> "Mat":
-        """self + other, or self - other when `subtract`, row by row: walks
-        only nonzero entries and drops those that cancel."""
+    def _combine(self, other: object, sign: int) -> "Mat":
+        """self + sign * other, for sign 1 or -1."""
         if not isinstance(other, Mat):
             return NotImplemented
         if self.shape != other.shape:
             raise ShapeError(f"cannot add {self.shape} and {other.shape}")
-        out = []
-        for ra, rb in zip(self.nonzero, other.nonzero):
-            if not rb or not (ra or subtract):
-                out.append(ra or rb)
-                continue
-            acc = dict(ra)
-            for j, y in rb.items():
-                x = acc.get(j)
-                if x is None:
-                    acc[j] = -y if subtract else y
-                else:
-                    v = x - y if subtract else x + y
-                    if v:
-                        acc[j] = v
-                    else:
-                        del acc[j]
-            out.append(acc)
-        return Mat._from_rows(out, self.cols)
+        return Mat._from_words([(1, self), (sign, other)], self.rows, self.cols)
 
     def __mul__(self, other: object) -> "Mat":
         if isinstance(other, Mat):
@@ -562,39 +554,15 @@ class Mat:
         )
 
     def _matmul(self, other: "Mat") -> "Mat":
-        """Product over the stored rows: each output row sums, in a dict, the
-        products of its left row's nonzero entries with the stored rows of
-        `other` they select, and drops the sums that cancel.  A left row
-        with one nonzero entry, as in every diagonal or monomial matrix,
-        yields products of nonzeros only and is not filtered."""
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
-        right = other.nonzero
-        out = []
-        for arow in self.nonzero:
-            acc: dict[int, GaussRat] = {}
-            for p, a in arow.items():
-                for j, b in right[p].items():
-                    v = acc.get(j)
-                    acc[j] = a * b if v is None else v + a * b
-            if len(arow) > 1:
-                acc = {j: v for j, v in acc.items() if v}
-            out.append(acc)
-        return Mat._from_rows(out, other.cols)
+        return Mat._from_words([(1, self, other)], self.rows, other.cols)
 
     def apply(self, vector: Sequence[GaussRat]) -> tuple[GaussRat, ...]:
-        """Matrix-vector product."""
+        """Matrix-vector product, as the product with a one-column Mat."""
         if len(vector) != self.cols:
             raise ShapeError(f"vector of length {len(vector)} against {self.shape}")
-        out = []
-        for row in self.nonzero:
-            acc = ZERO
-            for j, a in row.items():
-                x = vector[j]
-                if x:
-                    acc = acc + a * x
-            out.append(acc)
-        return tuple(out)
+        return self._matmul(Mat([[x] for x in vector], cols=1)).column(0)
 
     def transpose(self) -> "Mat":
         out: list[dict[int, GaussRat]] = [{} for _ in range(self.cols)]
@@ -695,8 +663,10 @@ def _word_row(words: Iterable[tuple], i: int) -> dict[int, tuple[int, int, int]]
     """Row i of the sum of words c*L*R, c = 1 or -1, as unreduced (a, b, d)
     triples by column, built with no intermediate Mat.  R, or L and R, may
     be left out of a word (c, L, R); each stands for the identity.  As in
-    the `_echelon` row update, sums add numerators when denominators match
-    and cross-multiply otherwise; a sum that cancels keeps a zero pair."""
+    the `_echelon` row update, sums add numerators when denominators match;
+    when one denominator divides the other, the smaller one is scaled up,
+    and otherwise the two are cross-multiplied.  A sum that cancels keeps a
+    zero pair."""
     acc: dict[int, tuple[int, int, int]] = {}
     for c, *mats in words:
         for p, x in (mats[0].nonzero[i] if mats else {i: ONE}).items():
@@ -706,10 +676,18 @@ def _word_row(words: Iterable[tuple], i: int) -> dict[int, tuple[int, int, int]]
                 v = acc.get(j)
                 if v is None:
                     acc[j] = (a, b, d)
-                elif v[2] == d:
-                    acc[j] = (v[0] + a, v[1] + b, d)
+                    continue
+                va, vb, vd = v
+                if vd == d:
+                    acc[j] = (va + a, vb + b, d)
+                elif not vd % d:
+                    m = vd // d
+                    acc[j] = (va + a * m, vb + b * m, vd)
+                elif not d % vd:
+                    m = d // vd
+                    acc[j] = (va * m + a, vb * m + b, d)
                 else:
-                    acc[j] = (v[0] * d + a * v[2], v[1] * d + b * v[2], v[2] * d)
+                    acc[j] = (va * d + a * vd, vb * d + b * vd, vd * d)
     return acc
 
 

@@ -18,8 +18,6 @@ from .linalg import (
     ZERO,
     _decode_at,
     _json_kind,
-    _reduce,
-    _word_row,
     as_gauss,
     gauss_from_json,
     gauss_to_json,
@@ -116,7 +114,7 @@ def build_hecke_module(k: int, l: int, coupling: Mat) -> Rep:
     y2 = Mat.diagonal([_MINUS_ONE] * k + [ZERO] * l)
     s = Mat.block(
         [
-            [-Mat.identity(k), coupling],
+            [Mat.diagonal([_MINUS_ONE] * k), coupling],
             [Mat.zero(l, k), Mat.identity(l)],
         ]
     )
@@ -124,18 +122,12 @@ def build_hecke_module(k: int, l: int, coupling: Mat) -> Rep:
 
 
 def build_rep(seed: Seed) -> Rep:
-    """Shift the Hecke module by the seed eigenvalues and derive e from the
-    mixed relation e = 1 + y1*s - s*y2, one row at a time through
-    `linalg._word_row`, with one gcd per stored entry."""
-    base = build_hecke_module(seed.k, seed.l, seed.coupling)
-    shift = Mat.diagonal(seed.eigenvalues)
-    y1 = base.y1 + shift
-    y2 = base.y2 + shift
-    s = base.s
-    rows = (_word_row([(1,), (1, y1, s), (-1, s, y2)], i) for i in range(s.rows))
-    e = Mat._from_rows(
-        [{j: _reduce(*t) for j, t in r.items() if t[0] or t[1]} for r in rows], s.rows
-    )
+    """The Hecke module shifted to y1 = diag(a, b - 1) and y2 = diag(a - 1, b),
+    with e derived from the mixed relation e = 1 + y1*s - s*y2."""
+    s = build_hecke_module(seed.k, seed.l, seed.coupling).s
+    y1 = Mat.diagonal(seed.a + tuple(x - ONE for x in seed.b))
+    y2 = Mat.diagonal(tuple(x - ONE for x in seed.a) + seed.b)
+    e = Mat._from_words([(1,), (1, y1, s), (-1, s, y2)], s.rows, s.cols)
     return Rep(seed.k, seed.l, y1=y1, y2=y2, s=s, e=e)
 
 

@@ -4,6 +4,7 @@ entries that the commutant elimination meets."""
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 
@@ -15,9 +16,11 @@ from periplectic import (
     CodecError,
     GaussRat,
     Mat,
+    ONE,
     PreconditionError,
     Rep,
     Seed,
+    ShapeError,
     ZERO,
     build_rep,
     endo_report,
@@ -53,21 +56,38 @@ _VALUES: list[Pair] = [
     (F(1), F(0)), (F(-1), F(0)), (F(0), F(1)), (F(0), F(-1)), (F(1, 2), F(0)),
     (F(-1, 2), F(0)), (F(2), F(0)), (F(1), F(1)), (F(-1), F(-1)),
 ]
+# denominators where one divides another (3, 6, 9) and coprime ones (2, 3),
+# so that sums meet every branch of the word kernel's denominator update
+_WIDE_VALUES: list[Pair] = _VALUES + [
+    (F(1, 3), F(0)), (F(-1, 3), F(0)), (F(1, 6), F(-1, 6)), (F(0), F(2, 9)),
+    (F(-5, 9), F(1, 3)), (F(1, 6), F(0)),
+]
 
 
 @st.composite
-def grids(draw, rows: int | None = None, cols: int | None = None):
-    """A rows x cols grid of pairs with at least 70% zeros."""
+def grids(
+    draw, rows: int | None = None, cols: int | None = None,
+    values: list[Pair] = _VALUES, dense: bool = False,
+):
+    """A rows x cols grid of pairs with at least 70% zeros, or with no zero
+    cell when `dense`."""
     rows = draw(st.integers(1, 6)) if rows is None else rows
     cols = draw(st.integers(1, 6)) if cols is None else cols
-    cells = draw(
-        st.dictionaries(
-            st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1)),
-            st.sampled_from(_VALUES),
-            max_size=3 * rows * cols // 10,
+    if dense:
+        cells = {
+            (i, j): draw(st.sampled_from(values)) for i in range(rows) for j in range(cols)
+        }
+    else:
+        positions = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+        cells = draw(
+            st.dictionaries(positions, st.sampled_from(values), max_size=3 * rows * cols // 10)
         )
-    )
     return [[cells.get((i, j), _ZERO_PAIR) for j in range(cols)] for i in range(rows)]
+
+
+# (values, dense) of the grids that sums and products take: the sparse
+# draw, wider denominators, and full grids of either
+_KERNEL_INPUTS = st.tuples(st.sampled_from([_VALUES, _WIDE_VALUES]), st.booleans())
 
 
 def mat(grid: list[list[Pair]], cols: int) -> Mat:
@@ -114,10 +134,11 @@ class TestAgainstDenseReference:
     @settings(max_examples=120, deadline=None)
     @given(st.data())
     def test_sums_and_scaling(self, data):
-        a = data.draw(grids())
+        values, dense = data.draw(_KERNEL_INPUTS)
+        a = data.draw(grids(values=values, dense=dense))
         rows, cols = len(a), len(a[0])
-        b = data.draw(grids(rows, cols))
-        c = data.draw(st.sampled_from(_VALUES + [_ZERO_PAIR]))
+        b = data.draw(grids(rows, cols, values, data.draw(st.booleans())))
+        c = data.draw(st.sampled_from(values + [_ZERO_PAIR]))
         ma, mb, gc = mat(a, cols), mat(b, cols), GaussRat(*c)
         check_matches(ma + mb, pair_sum(a, b), cols)
         check_matches(ma - mb, pair_sum(a, pair_neg(b)), cols)
@@ -131,10 +152,11 @@ class TestAgainstDenseReference:
     @settings(max_examples=120, deadline=None)
     @given(st.data())
     def test_products(self, data):
-        a = data.draw(grids())
+        values, dense = data.draw(_KERNEL_INPUTS)
+        a = data.draw(grids(values=values, dense=dense))
         inner, cols = len(a[0]), data.draw(st.integers(1, 6))
-        b = data.draw(grids(inner, cols))
-        vector = data.draw(st.lists(st.sampled_from(_VALUES + [_ZERO_PAIR] * 3), min_size=inner, max_size=inner))
+        b = data.draw(grids(inner, cols, values, data.draw(st.booleans())))
+        vector = data.draw(st.lists(st.sampled_from(values + [_ZERO_PAIR] * 3), min_size=inner, max_size=inner))
         ma, mb = mat(a, inner), mat(b, cols)
         check_matches(ma * mb, pair_product(a, b, cols), cols)
         assert ma.apply(tuple(GaussRat(*x) for x in vector)) == tuple(
@@ -173,6 +195,48 @@ class TestAgainstDenseReference:
         assert (Mat([[1, 1]]) * Mat([[1], [-1]])).nonzero == ({},)
         assert (Mat([[1, 2]]) + Mat([[-1, 2]])).nonzero == ({1: GaussRat(4)},)
         assert Mat([[0, 0]]).scale(3) == Mat.zero(1, 2)
+
+    @pytest.mark.parametrize("k, m", [(0, 0), (0, 3), (2, 0), (2, 3)])
+    def test_zero_inner_dimension(self, k, m):
+        # a (k x 0)(0 x m) product is the k x m zero matrix
+        left, right = Mat([[]] * k, cols=0), Mat([], cols=m)
+        product = left * right
+        assert product.shape == (k, m) and product.nonzero == ({},) * k
+        assert product == Mat.zero(k, m)
+        assert left.apply(()) == (ZERO,) * k
+
+    def test_matrices_without_rows(self):
+        empty, other = Mat([], cols=3), Mat.zero(0, 3)
+        for result in (empty + other, empty - other, -empty):
+            assert result.shape == (0, 3) and result.nonzero == ()
+        product = empty * Mat([[1, 2], [0, 1], [3, 0]])
+        assert product.shape == (0, 2) and product.nonzero == ()
+        assert empty.apply((ONE, ZERO, GaussRat(2))) == ()
+
+    def test_shape_error_messages(self):
+        for combine in (operator.add, operator.sub):
+            with pytest.raises(ShapeError) as mismatch:
+                combine(Mat([[1]]), Mat([[1, 2]]))
+            assert str(mismatch.value) == "cannot add (1, 1) and (1, 2)"
+        with pytest.raises(ShapeError) as product:
+            Mat([[1, 2]]) * Mat([[1, 2]])
+        assert str(product.value) == "cannot multiply (1, 2) by (1, 2)"
+        with pytest.raises(ShapeError) as applied:
+            Mat([[1, 2]]).apply((ONE,))
+        assert str(applied.value) == "vector of length 1 against (1, 2)"
+
+
+class TestWordKernel:
+    @pytest.mark.parametrize("order", [[8, 4, 2], [2, 4, 8], [4, 8, 2]])
+    def test_dividing_denominators_are_scaled_up(self, order):
+        # 1/2 + 1/4 + 1/8 in any order stays over 8: the smaller of two
+        # denominators is scaled up when it divides the larger
+        words = [(1, Mat([[F(1, d)]])) for d in order]
+        assert linalg._word_row(words, 0) == {0: (7, 0, 8)}
+
+    def test_coprime_denominators_are_cross_multiplied(self):
+        words = [(1, Mat([[F(1, 2)]]), Mat([[F(1, 3)]])), (-1, Mat([[F(1, 5)]]))]
+        assert linalg._word_row(words, 0) == {0: (-1, 0, 30)}
 
 
 class TestZeroCells:
