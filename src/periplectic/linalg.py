@@ -815,9 +815,19 @@ def commutant_basis(gens: Sequence[Mat]) -> list[Mat]:
     The basis depends on the row space only (see `kernel_and_pivots`), and
     the elimination keeps every entry a ratio of minors of this system, so
     neither the order nor the scaling of the equations is needed to keep
-    entries small.  For regular shifts each equation is a multiple of a
-    +-1 incidence row, and so every pivot row is a +-1 row.  The result
-    always contains the identity direction.
+    entries small.
+
+    When every class of equal diagonal entries is a single index, as for
+    regular shifts, no system is built: the unknowns are the diagonal
+    entries x_i, each equation is g[p][q] * (x_p - x_q), and the kernel is
+    read off the graph on range(n) with an edge p - q wherever some
+    non-diagonal generator has g[p][q] != 0.  One diagonal 0/1 matrix per
+    connected component, ordered by the component's largest index, is
+    exactly what the elimination returns: a column of this incidence
+    system depends on the earlier ones only when it is the last of its
+    component, so each component's largest index is its one free column,
+    and the kernel vector that is 1 there is the component's indicator.
+    The result always contains the identity direction.
     """
     mats = list(gens)
     if not mats:
@@ -838,6 +848,34 @@ def commutant_basis(gens: Sequence[Mat]) -> list[Mat]:
     for i, key in enumerate(keys):
         classes.setdefault(key, []).append(i)
     positions = [(i, j) for i in range(n) for j in classes[keys[i]]]
+
+    if len(positions) == n:
+        # the read-off above, by union-find: each root is the largest index
+        # of its component
+        root = list(range(n))
+
+        def find(i: int) -> int:
+            while root[i] != i:
+                root[i] = root[root[i]]
+                i = root[i]
+            return i
+
+        for g in others:
+            for p, row in enumerate(g.nonzero):
+                for q in row:
+                    a, b = find(p), find(q)
+                    if a != b:
+                        root[min(a, b)] = max(a, b)
+        members: dict[int, list[int]] = {}
+        for i in range(n):
+            members.setdefault(find(i), []).append(i)
+        out = []
+        for r in sorted(members):
+            grid = [{} for _ in range(n)]
+            for i in members[r]:
+                grid[i] = {i: ONE}
+            out.append(Mat._from_rows(grid, n))
+        return out
 
     rows: list[dict[int, GaussRat]] = []
     for g in others:

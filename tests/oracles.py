@@ -68,7 +68,9 @@ def rref(rows: Sequence[Sequence[Pair]], ncols: int):
         for i in range(len(work)):
             if i != r and any(work[i][c]):
                 f = work[i][c]
-                work[i] = [pair_sub(x, pair_mul(f, y)) for x, y in zip(work[i], work[r])]
+                work[i] = [
+                    pair_sub(x, pair_mul(f, y)) if any(y) else x for x, y in zip(work[i], work[r])
+                ]
         pivots.append(c)
         r += 1
         if r == len(work):
@@ -81,19 +83,25 @@ def oracle_rank(mat: Mat) -> int:
     return len(reduced)
 
 
-def oracle_nullspace(mat: Mat) -> list[Vector]:
-    reduced, pivots = rref(_pairs(mat.entries), mat.cols)
+def _nullspace(rows: Sequence[Sequence[Pair]], ncols: int) -> list[Vector]:
+    """One vector per free column of the RREF, in column order: 1 there, 0
+    at the other free columns."""
+    reduced, pivots = rref(rows, ncols)
     basis = []
     pivot_set = set(pivots)
-    for free in range(mat.cols):
+    for free in range(ncols):
         if free in pivot_set:
             continue
-        vec = [_PAIR_ZERO] * mat.cols
+        vec = [_PAIR_ZERO] * ncols
         vec[free] = _PAIR_ONE
         for row, c in zip(reduced, pivots):
             vec[c] = pair_sub(_PAIR_ZERO, row[free])
         basis.append(tuple(GaussRat(re, im) for re, im in vec))
     return basis
+
+
+def oracle_nullspace(mat: Mat) -> list[Vector]:
+    return _nullspace(_pairs(mat.entries), mat.cols)
 
 
 def in_span(vectors: Sequence[Vector], target: Vector) -> bool:
@@ -105,8 +113,10 @@ def in_span(vectors: Sequence[Vector], target: Vector) -> bool:
     return len(base) == len(extended)
 
 
-def oracle_commutant_dim(gens: Sequence[Mat]) -> int:
-    """Nullity of the full (X*G - G*X = 0) system over all n^2 positions."""
+def oracle_commutant_basis(gens: Sequence[Mat]) -> list[Vector]:
+    """Null space of the full (X*G - G*X = 0) system over all n^2 positions,
+    with the unknowns X[i][j] numbered row-major: each vector is a commuting
+    matrix flattened row-major."""
     n = gens[0].rows
     equations: list[list[Pair]] = []
     for g in gens:
@@ -118,8 +128,11 @@ def oracle_commutant_dim(gens: Sequence[Mat]) -> int:
                     row[p * n + t] = pair_add(row[p * n + t], ge[t][q])
                     row[t * n + q] = pair_sub(row[t * n + q], ge[p][t])
                 equations.append(row)
-    reduced, _ = rref(equations, n * n)
-    return n * n - len(reduced)
+    return _nullspace(equations, n * n)
+
+
+def oracle_commutant_dim(gens: Sequence[Mat]) -> int:
+    return len(oracle_commutant_basis(gens))
 
 
 def oracle_invariant_line_spaces(rep: Rep) -> list[tuple[int, int]]:

@@ -30,6 +30,7 @@ from periplectic.sampling import random_matrix
 
 from oracles import (
     in_span,
+    oracle_commutant_basis,
     oracle_commutant_dim,
     oracle_nullspace,
     oracle_rank,
@@ -432,3 +433,44 @@ class TestCommutant:
             gens = [random_matrix(rng, n, n, density=0.7) for _ in range(rng.randint(1, 2))]
             gens.append(Mat.diagonal([rng.randint(-3, 3) for _ in range(n)]))
             assert len(commutant_basis(gens)) == oracle_commutant_dim(gens)
+
+    @staticmethod
+    def _diagonals(rng: random.Random, n: int, kind: str) -> list[Mat]:
+        """Diagonal generators whose classes of equal entries are all
+        singletons ("distinct", also as two diagonals that each repeat an
+        entry), not all singletons ("repeated"), or no diagonal at all."""
+        if kind == "distinct":
+            return [Mat.diagonal(rng.sample(range(-5, 6), n))]
+        if kind == "distinct_pair":
+            return [Mat.diagonal([i // 2 for i in range(n)]), Mat.diagonal([i % 2 for i in range(n)])]
+        if kind == "repeated":
+            values = [rng.randint(-2, 2) for _ in range(n)]
+            values[rng.randrange(1, n)] = values[0]
+            return [Mat.diagonal(values)]
+        return []
+
+    def test_basis_equals_full_system_oracle(self):
+        # the read-off for singleton classes and the elimination both give
+        # the null space of the full n^2 system, vector for vector
+        rng = random.Random(16)
+        kinds = ["distinct", "distinct_pair", "repeated", "none"]
+        isolated = 0
+        for trial in range(320):
+            kind = kinds[trial % len(kinds)]
+            n = rng.randint(2 if kind == "repeated" else 1, 5)
+            count = rng.randint(1 if kind == "none" else 0, 2)
+            others = [random_matrix(rng, n, n, density=rng.uniform(0.1, 0.6)) for _ in range(count)]
+            if others and rng.random() < 0.5:
+                # a coordinate that no generator couples to any other
+                c = rng.randrange(n)
+                others = [
+                    Mat([[x if (i == j or c not in (i, j)) else ZERO for j, x in enumerate(row)]
+                         for i, row in enumerate(g.entries)])
+                    for g in others
+                ]
+                isolated += 1
+            gens = others + self._diagonals(rng, n, kind)
+            rng.shuffle(gens)
+            flat = [tuple(x for row in b.entries for x in row) for b in commutant_basis(gens)]
+            assert flat == oracle_commutant_basis(gens), (kind, [g.entries for g in gens])
+        assert isolated >= 100

@@ -334,29 +334,37 @@ def _bits(x: GaussRat) -> int:
 
 @pytest.fixture
 def echelon_bits(monkeypatch):
-    """The largest bit length in the rows linalg._echelon returns."""
-    seen = [0]
+    """[the largest bit length in the rows linalg._echelon returns, the
+    number of calls of linalg._echelon]."""
+    seen = [0, 0]
     original = linalg._echelon
 
     def recording(rows):
         ech, pivots = original(rows)
         seen[0] = max([seen[0]] + [_bits(x) for row in ech for x in row.values()])
+        seen[1] += 1
         return ech, pivots
 
     monkeypatch.setattr(linalg, "_echelon", recording)
     return seen
 
 
+def _regular(k: int) -> list[GaussRat]:
+    return [GaussRat(t) for t in range(k)] + [GaussRat(t, F(1, 2)) for t in range(k)]
+
+
 class TestCommutantGrowth:
     def test_regular_shifts_stay_small(self, echelon_bits):
         # with the equations as read off s, the elimination that did not
-        # divide pivot rows by their pivots reached 15,346 bits
+        # divide pivot rows by their pivots reached 15,346 bits; regular
+        # shifts leave every diagonal class a singleton, so the commutant is
+        # read off the coupling graph and no elimination runs at all
         k = 48
-        shifts = [GaussRat(t) for t in range(k)] + [GaussRat(t, F(1, 2)) for t in range(k)]
-        report = endo_report(build_rep(_staircase_seed(k, random.Random(1), shifts)))
+        report = endo_report(build_rep(_staircase_seed(k, random.Random(1), _regular(k))))
         assert report.dimension == 1 and report.all_diagonal
         assert report.basis[0].is_diagonal()
         assert echelon_bits[0] <= 8
+        assert echelon_bits[1] == 0
 
     # largest bit length of a pivot row on the repeated-shift systems
     # below; seeds 1-8 at both sizes read at most 51.  While pivot rows were
@@ -378,3 +386,21 @@ class TestCommutantGrowth:
     @pytest.mark.parametrize("seed", range(1, 9))
     def test_repeated_shifts_no_larger_at_32(self, echelon_bits, seed):
         self._check_repeated(32, seed, echelon_bits)
+
+
+class TestCommutantEnvelope:
+    """Regular shifts at sizes the elimination took seconds on."""
+
+    def test_rhizomatic_k256_is_one_component(self):
+        # staircase seed 2, n = 512
+        rep = build_rep(_staircase_seed(256, random.Random(2), _regular(256)))
+        assert endo_report(rep).basis == (Mat.identity(512),)
+
+    def test_identity_coupling_has_one_component_per_pair(self):
+        # s couples i with 64 + i only: 64 components, element i is the
+        # indicator of {i, 64 + i}, in the order of i
+        basis = endo_report(build_rep(Seed(64, 64, Mat.identity(64), range(128)))).basis
+        assert basis == tuple(
+            Mat.diagonal([ONE if j in (i, 64 + i) else ZERO for j in range(128)])
+            for i in range(64)
+        )
