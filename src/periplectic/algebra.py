@@ -1,17 +1,27 @@
 """Relation checking for two-strand degenerate affine algebras.
 
 A representation is a quadruple of square matrices (y1, y2, s, e).  The
-periplectic checker tests the nine defining relations of the two-strand
-degenerate affine periplectic Brauer algebra; the Hecke checker tests the
-four relations of the degenerate affine Hecke algebra, the quotient in
-which e becomes zero.
+periplectic checker reports on the nine defining relations of the
+two-strand degenerate affine periplectic Brauer algebra; the Hecke checker
+reports on the four relations of the degenerate affine Hecke algebra, the
+quotient in which e becomes zero.
+
+Three relations follow from others, so the checkers evaluate one only when
+one of its premises fails (over Q(i), where 2 is invertible):
+- y1*y2 = y2*y1 on a calibrated module, with no premise: diagonal matrices
+  commute;
+- s*y2 = y1*s + 1 - e from s*s = 1, s*y1 = y2*s - 1 - e, e*s = e and
+  s*e = -e: conjugating s*y1 = y2*s - 1 - e by s gives
+  y1*s = s*y2 - 1 - s*e*s, and s*e*s = -e*s = -e.  With e = 0 this is the
+  Hecke s*y2 = y1*s + 1 from s*s = 1 and s*y1 = y2*s - 1;
+- e*e = 0 from e*s = e and s*e = -e: e*e = e*s*e = -e*e.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
-from .errors import CodecError, ShapeError
+from .errors import CodecError, PreconditionError, ShapeError
 from .linalg import (
     GaussRat,
     Mat,
@@ -94,22 +104,33 @@ class RelationReport(Record):
     checked: tuple[str, ...]
 
 
-def _check(n: int, relations: list[tuple[str, list, list]]) -> RelationReport:
+def _check(
+    n: int, relations: list[tuple[str, list, list]], premises: Mapping[str, tuple[str, ...]]
+) -> RelationReport:
     """Check relations (name, lhs words, rhs words), each side a sum of
     words as `linalg._word_row` takes them.  A violation is the first row
     where lhs - rhs is nonzero, at its smallest such column: the one entry
-    where lhs and rhs are reduced, once each."""
-    violations = []
-    for name, lhs, rhs in relations:
+    where lhs and rhs are reduced, once each.
+
+    `premises` maps a relation that the others imply to the relations it
+    follows from.  It is evaluated only when one of them failed; otherwise
+    it holds by proof.  The report still lists every relation in `checked`
+    and its violations in table order."""
+    failed = {}
+    # the relations with no premises go first, so every premise is settled
+    for name, lhs, rhs in sorted(relations, key=lambda r: r[0] in premises):
+        if name in premises and failed.keys().isdisjoint(premises[name]):
+            continue
         difference = lhs + [(-c, *mats) for c, *mats in rhs]
         for i in range(n):
             hit = [j for j, (a, b, _) in _word_row(difference, i).items() if a or b]
             if hit:
                 j = min(hit)
                 sides = (_word_row(words, i).get(j, (0, 0, 1)) for words in (lhs, rhs))
-                violations.append(Violation(name, (i, j), *(_reduce(*t) for t in sides)))
+                failed[name] = Violation(name, (i, j), *(_reduce(*t) for t in sides))
                 break
-    return RelationReport(not violations, tuple(violations), tuple(r[0] for r in relations))
+    names = tuple(r[0] for r in relations)
+    return RelationReport(not failed, tuple(failed[m] for m in names if m in failed), names)
 
 
 def verify_periplectic(rep: Rep) -> RelationReport:
@@ -126,7 +147,11 @@ def verify_periplectic(rep: Rep) -> RelationReport:
         ("s*e = -e", [(1, s, e)], [(-1, e)]),
         ("e*y2 = e*y1 + e", [(1, e, y2)], [(1, e, y1), (1, e)]),
         ("y1*e = y2*e + e", [(1, y1, e)], [(1, y2, e), (1, e)]),
-    ])
+    ], {
+        **({"y1*y2 = y2*y1": ()} if rep.is_calibrated else {}),
+        "s*y2 = y1*s + 1 - e": ("s*s = 1", "s*y1 = y2*s - 1 - e", "e*s = e", "s*e = -e"),
+        "e*e = 0": ("e*s = e", "s*e = -e"),
+    })
 
 
 def verify_hecke(rep: Rep) -> RelationReport:
@@ -137,7 +162,10 @@ def verify_hecke(rep: Rep) -> RelationReport:
         ("y1*y2 = y2*y1", [(1, y1, y2)], [(1, y2, y1)]),
         ("s*y1 = y2*s - 1", [(1, s, y1)], [(1, y2, s), (-1,)]),
         ("s*y2 = y1*s + 1", [(1, s, y2)], [(1, y1, s), (1,)]),
-    ])
+    ], {
+        **({"y1*y2 = y2*y1": ()} if rep.is_calibrated else {}),
+        "s*y2 = y1*s + 1": ("s*s = 1", "s*y1 = y2*s - 1"),
+    })
 
 
 def poly_matrix(
@@ -146,6 +174,12 @@ def poly_matrix(
     """Evaluate a two-variable polynomial, given as {(p, q): coeff}, at (y1, y2)."""
     if y1.shape != y2.shape or not y1.is_square():
         raise ShapeError("y1 and y2 must be square of equal size")
+    for key in poly:
+        # True and False would pass as ints
+        if not (isinstance(key, tuple) and len(key) == 2 and all(
+            isinstance(p, int) and not isinstance(p, bool) and p >= 0 for p in key
+        )):
+            raise PreconditionError(f"exponents {key!r} must be two non-negative integers")
     n = y1.rows
     max1 = max((p for p, _ in poly), default=0)
     max2 = max((q for _, q in poly), default=0)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -11,9 +12,11 @@ from periplectic import (
     GaussRat,
     I,
     Mat,
+    PreconditionError,
     Rep,
     Seed,
     ShapeError,
+    build_hecke_module,
     build_one_dim,
     build_rep,
     e_is_zero,
@@ -24,6 +27,8 @@ from periplectic import (
     verify_hecke,
     verify_periplectic,
 )
+from periplectic import algebra
+from periplectic.linalg import _word_row
 from periplectic.sampling import random_nonzero_gauss, random_polynomial, random_seed
 
 from oracles import oracle_relation_report, to_pair
@@ -39,6 +44,9 @@ PERIPLECTIC_RELATIONS = (
     "e*y2 = e*y1 + e",
     "y1*e = y2*e + e",
 )
+
+# the premises of the relations that verify_periplectic derives
+PREMISES = ("s*s = 1", "s*y1 = y2*s - 1 - e", "e*s = e", "s*e = -e")
 
 HECKE_RELATIONS = (
     "s*s = 1",
@@ -197,6 +205,57 @@ class TestReportsMatchOracle:
         passed = [verify_periplectic(rep).passed for rep in reps]
         assert passed == [True] + ([True] + [False] * 4) * 2
 
+    def test_only_s_squared_fails(self):
+        """Modules where s*s = 1 is the one failed premise, so both checkers
+        evaluate s*y2 = y1*s + 1 (- e): it holds on the line y1 = 0, y2 = 2,
+        s = 1/2, e = 0, and fails at (0, 1) on the plane below."""
+        line = Rep(1, 0, Mat([[0]]), Mat([[2]]), Mat([[GaussRat("1/2")]]), Mat([[0]]))
+        plane = Rep(1, 1, Mat.diagonal([0, 1]), Mat.diagonal([1, 3]),
+                    Mat([[1, 1], [0, GaussRat("1/2")]]), Mat.zero(2, 2))
+        for rep, derived_fails in ((line, False), (plane, True)):
+            _assert_reports_match_oracle(rep)
+            for verify in (verify_periplectic, verify_hecke):
+                failed = [v.relation for v in verify(rep).violations]
+                assert failed[0] == "s*s = 1"
+                assert len(failed) == 1 + derived_fails
+                assert failed[-1].startswith("s*y2 = ") == derived_fails
+
+    def test_one_premise_fails(self):
+        """One y1 or y2 entry of a built module changed, and in half the
+        trials e re-derived from s*y1 = y2*s - 1 - e: each of s*y1, e*s and
+        s*e is then, often enough, the one failed premise of the derived
+        relations."""
+        rng = random.Random(34)
+        alone = {name: 0 for name in PREMISES}
+        for t in range(120):
+            rep = build_rep(_repeated_seed(rng) if t % 2 else random_seed(rng))
+            n = rep.dim
+            name = ("y1", "y2")[t % 2]
+            rep = _changed(rep, name, rng.randrange(n), rng.randrange(n), random_nonzero_gauss(rng))
+            if t % 4 < 2:
+                y1, y2, s, _ = rep.generators()
+                rep = Rep(rep.k, rep.l, y1, y2, s, y2 * s - Mat.identity(n) - s * y1)
+            _assert_reports_match_oracle(rep)
+            failed = [v.relation for v in verify_periplectic(rep).violations if v.relation in PREMISES]
+            if len(failed) == 1:
+                alone[failed[0]] += 1
+        assert min(alone["s*y1 = y2*s - 1 - e"], alone["e*s = e"], alone["s*e = -e"]) >= 8
+
+
+def test_derived_relations_are_not_evaluated(monkeypatch, reference_seed):
+    # every relation passes, so each evaluated one reads every row once
+    rows: list[int] = []
+    monkeypatch.setattr(algebra, "_word_row", lambda words, i: rows.append(i) or _word_row(words, i))
+    hecke = build_hecke_module(2, 3, Mat([[1, 0, 2], [0, 3, 1]]))
+    for rep, verify, evaluated in (
+        (build_rep(reference_seed), verify_periplectic, 6),
+        (hecke, verify_periplectic, 6),
+        (hecke, verify_hecke, 2),
+    ):
+        rows.clear()
+        assert verify(rep).passed
+        assert len(rows) == evaluated * rep.dim
+
 
 def test_poly_matrix_explicit():
     y1 = Mat.diagonal([1, 2])
@@ -213,6 +272,23 @@ def test_poly_matrix_empty_poly_is_zero():
 def test_poly_matrix_shape_guard():
     with pytest.raises(ShapeError):
         poly_matrix(Mat.identity(2), Mat.identity(3), {(0, 0): 1})
+
+
+@pytest.mark.parametrize("poly, key", [
+    ({(-1, 0): 1}, "(-1, 0)"),
+    ({(0, -2): 1, (1, 0): 1}, "(0, -2)"),
+    ({(0.5, 0): 1}, "(0.5, 0)"),
+    ({(True, 0): 1}, "(True, 0)"),
+    ({(1, 0, 2): 1}, "(1, 0, 2)"),
+    ({3: 1}, "3"),
+])
+def test_poly_matrix_rejects_bad_exponents(poly, key):
+    y = Mat.diagonal([1, 2])
+    with pytest.raises(PreconditionError, match=re.escape(key)):
+        poly_matrix(y, y, poly)
+    rep = Rep(1, 1, y, y, Mat.identity(2), Mat.zero(2, 2))
+    with pytest.raises(PreconditionError, match=re.escape(key)):
+        e_sandwich_zero(rep, poly)
 
 
 def test_sandwich_vanishes_on_valid_modules():
