@@ -662,11 +662,11 @@ def mat_from_json(data: object, *, rows: int, cols: int) -> Mat:
 def _word_row(words: Iterable[tuple], i: int) -> dict[int, tuple[int, int, int]]:
     """Row i of the sum of words c*L*R, c = 1 or -1, as unreduced (a, b, d)
     triples by column, built with no intermediate Mat.  R, or L and R, may
-    be left out of a word (c, L, R); each stands for the identity.  As in
-    the `_echelon` row update, sums add numerators when denominators match;
-    when one denominator divides the other, the smaller one is scaled up,
-    and otherwise the two are cross-multiplied.  A sum that cancels keeps a
-    zero pair."""
+    be left out of a word (c, L, R); each stands for the identity.  Sums
+    add numerators when denominators match; when one denominator divides
+    the other, the smaller one is scaled up, and otherwise the two are
+    cross-multiplied.  No sum is reduced here; the caller reduces each
+    entry once.  A sum that cancels keeps a zero pair."""
     acc: dict[int, tuple[int, int, int]] = {}
     for c, *mats in words:
         for p, x in (mats[0].nonzero[i] if mats else {i: ONE}).items():
@@ -703,9 +703,9 @@ def _echelon(
     divided by its entry at c, is the pivot row, and every other row r
     becomes r - r[c] * pivot_row, evaluated only where r or the pivot row
     is nonzero, and waits again under its new leading column unless it is
-    zero.  So the result depends on the input order only.  The update
-    works on the (a, b, d) triples of the entries and normalises once per
-    stored entry.
+    zero.  So the result depends on the input order only.  The update on
+    (a, b, d) triples adds numerators when denominators are equal,
+    cross-multiplies otherwise, and reduces every entry it writes.
 
     The pivot rows come out monic, by increasing pivot column.  Every entry
     met is a ratio of two minors of the input (Edmonds 1967), so entries
@@ -800,6 +800,49 @@ def rank(mat: Mat) -> int:
     return len(_echelon(mat.nonzero)[1])
 
 
+def _walk(
+    matrix: Mat,
+) -> tuple[list[tuple[tuple[int, ...], tuple[int, ...]]], list[int], list[tuple[int, int]]]:
+    """Breadth-first walk of the row/column graph, one edge per nonzero entry.
+
+    A new component starts at each unvisited row, then at each unvisited
+    column, and neighbours are visited in index order.  Returns the
+    components as (row indices, column indices), each row's component
+    index, and the (row, column) edges that discovered a vertex, in
+    visiting order.
+    """
+    k = matrix.rows
+    # transpose rows list their keys in ascending order
+    row_nz, col_nz = matrix.nonzero, matrix.transpose().nonzero
+    # vertices 0..k-1 are the rows, k + j is column j
+    component = [-1] * (k + matrix.cols)
+    components = []
+    tree: list[tuple[int, int]] = []
+    for start in range(len(component)):
+        if component[start] >= 0:
+            continue
+        index = len(components)
+        component[start] = index
+        order = [start]
+        for v in order:
+            if v < k:
+                for j in sorted(row_nz[v]):
+                    if component[k + j] < 0:
+                        component[k + j] = index
+                        tree.append((v, j))
+                        order.append(k + j)
+            else:
+                for i in col_nz[v - k]:
+                    if component[i] < 0:
+                        component[i] = index
+                        tree.append((i, v - k))
+                        order.append(i)
+        rows = tuple(sorted(v for v in order if v < k))
+        cols = tuple(sorted(v - k for v in order if v >= k))
+        components.append((rows, cols))
+    return components, component[:k], tree
+
+
 def commutant_basis(gens: Sequence[Mat]) -> list[Mat]:
     """Basis of the algebra of matrices commuting with every generator.
 
@@ -850,29 +893,17 @@ def commutant_basis(gens: Sequence[Mat]) -> list[Mat]:
     positions = [(i, j) for i in range(n) for j in classes[keys[i]]]
 
     if len(positions) == n:
-        # the read-off above, by union-find: each root is the largest index
-        # of its component
-        root = list(range(n))
-
-        def find(i: int) -> int:
-            while root[i] != i:
-                root[i] = root[root[i]]
-                i = root[i]
-            return i
-
+        # the read-off above, by `_walk` over the stored entries of the other
+        # generators plus the identity: the identity joins row i to column
+        # i, so the rows of each walk component are one component on range(n)
+        pattern = [{i: ONE} for i in range(n)]
         for g in others:
-            for p, row in enumerate(g.nonzero):
-                for q in row:
-                    a, b = find(p), find(q)
-                    if a != b:
-                        root[min(a, b)] = max(a, b)
-        members: dict[int, list[int]] = {}
-        for i in range(n):
-            members.setdefault(find(i), []).append(i)
+            for row, stored in zip(pattern, g.nonzero):
+                row.update(stored)
         out = []
-        for r in sorted(members):
+        for members, _ in sorted(_walk(Mat._from_rows(pattern, n))[0], key=lambda c: c[0][-1]):
             grid = [{} for _ in range(n)]
-            for i in members[r]:
+            for i in members:
                 grid[i] = {i: ONE}
             out.append(Mat._from_rows(grid, n))
         return out

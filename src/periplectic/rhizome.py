@@ -8,12 +8,13 @@ per nonzero entry: the number of connected components there equals the
 number of entry classes plus the number of zero rows plus the number of
 zero columns.  One breadth-first walk of that graph gives the classes, the
 components and the spanning tree that scaling normalization gauges along.
+That walk is `linalg._walk`, which `commutant_basis` also reads.
 """
 
 from __future__ import annotations
 
 from .errors import CodecError, PreconditionError
-from .linalg import GaussRat, Mat, ONE, ZERO
+from .linalg import GaussRat, Mat, ONE, ZERO, _walk
 from .record import Record
 
 __all__ = [
@@ -25,49 +26,6 @@ __all__ = [
     "parse_pattern",
     "format_pattern",
 ]
-
-
-def _walk(
-    matrix: Mat,
-) -> tuple[list[tuple[tuple[int, ...], tuple[int, ...]]], list[int], list[tuple[int, int]]]:
-    """Breadth-first walk of the row/column graph, one edge per nonzero entry.
-
-    A new component starts at each unvisited row, then at each unvisited
-    column, and neighbours are visited in index order.  Returns the
-    components as (row indices, column indices), each row's component
-    index, and the (row, column) edges that discovered a vertex, in
-    visiting order.
-    """
-    k = matrix.rows
-    # transpose rows list their keys in ascending order
-    row_nz, col_nz = matrix.nonzero, matrix.transpose().nonzero
-    # vertices 0..k-1 are the rows, k + j is column j
-    component = [-1] * (k + matrix.cols)
-    components = []
-    tree: list[tuple[int, int]] = []
-    for start in range(len(component)):
-        if component[start] >= 0:
-            continue
-        index = len(components)
-        component[start] = index
-        order = [start]
-        for v in order:
-            if v < k:
-                for j in sorted(row_nz[v]):
-                    if component[k + j] < 0:
-                        component[k + j] = index
-                        tree.append((v, j))
-                        order.append(k + j)
-            else:
-                for i in col_nz[v - k]:
-                    if component[i] < 0:
-                        component[i] = index
-                        tree.append((i, v - k))
-                        order.append(i)
-        rows = tuple(sorted(v for v in order if v < k))
-        cols = tuple(sorted(v - k for v in order if v >= k))
-        components.append((rows, cols))
-    return components, component[:k], tree
 
 
 class RhizomeReport(Record):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import periplectic
 from periplectic import (
@@ -772,3 +774,114 @@ def test_startup_imports():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == ["True", "[]"]
+
+
+# what a mutation puts in place of a node: small values only, so that no
+# mutated document asks for a large allocation.  Half are rational parts,
+# so that many mutated documents still decode and reach the algorithms.
+JSON_VALUES = st.sampled_from(["0/1", "1/1", "-1/2", "3", "2/3"]) | st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 8)
+    | st.floats(width=16)
+    | st.sampled_from(["1/0", "*", ".", "k"])
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+def _paths(node, path=()):
+    """The path of every node from the root."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _paths(child, path + (key,))
+
+
+@st.composite
+def _mutated(draw, document):
+    """`document` after one to three mutations: a node replaced with another
+    JSON value, a key or element dropped, or an element duplicated."""
+    document = copy.deepcopy(document)
+    for _ in range(draw(st.integers(1, 3))):
+        # deepest first: the simplest mutations change one entry
+        path = draw(st.sampled_from(sorted(_paths(document), key=len, reverse=True)))
+        if not path:
+            document = draw(JSON_VALUES)
+            continue
+        *path, last = path
+        parent = document
+        for key in path:
+            parent = parent[key]
+        kinds = ["replace", "drop"] + (["duplicate"] if isinstance(parent, list) else [])
+        kind = draw(st.sampled_from(kinds))
+        if kind == "replace":
+            parent[last] = draw(JSON_VALUES)
+        elif kind == "drop":
+            del parent[last]
+        else:
+            parent.insert(last, copy.deepcopy(parent[last]))
+    return document
+
+
+def _grid_text(document) -> str:
+    """A pattern document, a list of rows of cells, as the text grid the
+    `rhizome` verb reads; any other JSON value is written as JSON."""
+    if not isinstance(document, list):
+        return json.dumps(document)
+    return "\n".join(
+        "".join(c if isinstance(c, str) else json.dumps(c) for c in row)
+        if isinstance(row, list)
+        else json.dumps(row)
+        for row in document
+    )
+
+
+@pytest.fixture(scope="module")
+def mutation_dir(tmp_path_factory):
+    """A directory holding the valid seed that `isomorphic` compares with."""
+    path = tmp_path_factory.mktemp("mutated")
+    _write(path, "valid.json", json.dumps(seed_to_json(REFERENCE)))
+    return path
+
+
+class TestNoTraceback:
+    """Mutated seed, rep and pattern documents never end in a traceback:
+    each verb exits 0 or 1, or exits 2 or 3 with no stdout and exactly one
+    stderr line.  An exception other than SystemExit leaves run_cli and
+    fails the test."""
+
+    SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+    def _run_all(self, mutation_dir, text: str, verbs, as_json: bool) -> None:
+        path = _write(mutation_dir, "mutated", text)
+        for verb in verbs:
+            args = [verb, path]
+            if verb == "isomorphic":
+                args.append(str(mutation_dir / "valid.json"))
+            if as_json and verb != "construct":
+                args.append("--json")
+            result = run_cli(args)
+            if result.exit_code in (0, 1):
+                continue
+            assert result.exit_code in (2, 3), (args, result)
+            assert result.stdout == "", (args, result)
+            assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n"), (args, result)
+
+    @SETTINGS
+    @given(_mutated(seed_to_json(REFERENCE)), st.booleans())
+    def test_mutated_seed(self, mutation_dir, document, as_json):
+        verbs = ("construct", "rhizome", "indecomposable", "canonical", "isomorphic")
+        self._run_all(mutation_dir, json.dumps(document), verbs, as_json)
+
+    @SETTINGS
+    @given(_mutated(rep_to_json(build_rep(REFERENCE))), st.booleans())
+    def test_mutated_rep(self, mutation_dir, document, as_json):
+        self._run_all(mutation_dir, json.dumps(document), ("verify", "endo", "split"), as_json)
+
+    @SETTINGS
+    @given(_mutated([list("*.*"), list(".**"), list("*..")]), st.booleans())
+    def test_mutated_pattern(self, mutation_dir, document, as_json):
+        self._run_all(mutation_dir, _grid_text(document), ("rhizome",), as_json)

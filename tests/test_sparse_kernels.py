@@ -13,6 +13,7 @@ import sys
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import periplectic.linalg as linalg
 import periplectic.rhizome as rhizome
 from periplectic import (
     GaussRat,
@@ -24,6 +25,7 @@ from periplectic import (
     ZERO,
     build_rep,
     canonical_form,
+    endo_report,
     gauss_from_json,
     gauss_to_json,
     group_act,
@@ -307,7 +309,9 @@ def test_split_json_bytes_are_pinned(tmp_path):
 
 class TestSingleAnalysis:
     """Each coupling is walked once: every rhizome function derives from
-    one breadth-first walk, `rhizome._walk`."""
+    one breadth-first walk, `linalg._walk`, which `rhizome` imports by name
+    (so patching `rhizome._walk` counts the rhizome walks), and the
+    regular-shift commutant is read off that same walk."""
 
     @pytest.fixture
     def walks(self, monkeypatch):
@@ -336,6 +340,20 @@ class TestSingleAnalysis:
         verdict = indecomposable(self.SEED)
         assert verdict.value == INDECOMPOSABLE
         assert len(walks) == 1
+
+    def test_regular_endo_walks_once_and_never_eliminates(self, monkeypatch):
+        calls = {"_walk": 0, "_echelon": 0}
+        for name in calls:
+            original = getattr(linalg, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(linalg, name, counted)
+        report = endo_report(build_rep(self.SEED))
+        assert report.dimension == 1 and report.all_diagonal
+        assert calls == {"_walk": 1, "_echelon": 0}
 
     def test_messages(self):
         split = Seed(2, 2, Mat.identity(2), (q(1), q(2), q(3), q(4)))
