@@ -358,20 +358,23 @@ def canonical_form(seed: Seed) -> CanonicalForm:
     rhizomatic seed: sort each shift group ascending, permute the coupling
     along, then normalize the scalings along a spanning tree.
 
-    The coupling is analyzed once, by scaling_normalize; sorting permutes
-    rows and columns and so keeps it rhizomatic or not."""
+    The sort is a permutation of the stored coupling entries, with no
+    scalar arithmetic: it is the action of the monomial pair with unit
+    scalars, without building one.  The coupling is analyzed once, by
+    scaling_normalize; sorting permutes rows and columns and so keeps it
+    rhizomatic or not."""
     k, l = seed.k, seed.l
     if not is_regular(seed.eigenvalues, k, l):
         raise PreconditionError("canonical form needs regular shifts")
-    sigma = tuple(sorted(range(k), key=lambda i: seed.a[i]))
-    tau = tuple(sorted(range(l), key=lambda j: seed.b[j]))
-    sorter = MonomialPair(sigma, (ONE,) * k, tau, (ONE,) * l)
-    sorted_seed = group_act(sorter, seed)
+    a, b = seed.a, seed.b
+    sigma = sorted(range(k), key=a.__getitem__)
+    tau = sorted(range(l), key=b.__getitem__)
     try:
-        norm = scaling_normalize(sorted_seed.coupling)
+        norm = scaling_normalize(seed.coupling.submatrix(sigma, tau))
     except PreconditionError:
         raise PreconditionError("canonical form needs a rhizomatic coupling") from None
-    return CanonicalForm(sorted_seed.eigenvalues, norm.normalized)
+    eigenvalues = tuple(a[i] for i in sigma) + tuple(b[j] for j in tau)
+    return CanonicalForm(eigenvalues, norm.normalized)
 
 
 def isomorphic(seed1: Seed, seed2: Seed) -> bool:

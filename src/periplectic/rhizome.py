@@ -14,7 +14,7 @@ That walk is `linalg._walk`, which `commutant_basis` also reads.
 from __future__ import annotations
 
 from .errors import CodecError, PreconditionError
-from .linalg import GaussRat, Mat, ONE, ZERO, _walk
+from .linalg import GaussRat, Mat, ONE, ZERO, _reduce, _walk
 from .record import Record
 
 __all__ = [
@@ -91,6 +91,10 @@ def scaling_normalize(matrix: Mat) -> ScalingNormalization:
     entries of the normalized matrix are complete invariants of the
     row/column scaling action, and the normalized matrix itself is the
     unique member of the scaling orbit with ones along the tree.
+
+    Each scalar is the inverse of one product, and each off-tree entry one
+    product of three scalars, taken on their integer parts and reduced
+    once; the tree entries are set to 1 without arithmetic.
     """
     components, _, tree = _walk(matrix)
     # rhizomatic: a single component, and it holds an edge
@@ -101,13 +105,35 @@ def scaling_normalize(matrix: Mat) -> ScalingNormalization:
     xi: list[GaussRat | None] = [None] * k
     phi: list[GaussRat | None] = [None] * l
     xi[0] = ONE
-    # each tree edge gauges the one endpoint that is not gauged yet
+    tree_cols: list[set[int]] = [set() for _ in range(k)]
+    # each tree edge gauges the one endpoint that is not gauged yet to
+    # 1 / (gauged scalar * entry), taken on the (a, b, d) ints and reduced once
     for i, j in tree:
+        tree_cols[i].add(j)
+        x = row_nz[i][j]
+        g = phi[j] if xi[i] is None else xi[i]
+        u, v = g._a * x._a - g._b * x._b, g._a * x._b + g._b * x._a
+        inverse = _reduce(u * g._d * x._d, -v * g._d * x._d, u * u + v * v)
         if xi[i] is None:
-            xi[i] = (phi[j] * row_nz[i][j]).inverse()
+            xi[i] = inverse
         else:
-            phi[j] = (xi[i] * row_nz[i][j]).inverse()
-    rows = [{j: xi[i] * phi[j] * x for j, x in row.items()} for i, row in enumerate(row_nz)]
+            phi[j] = inverse
+    # a tree entry is 1 by construction; every other entry is the product
+    # xi_i * phi_j * x, taken on the ints and reduced once
+    col = [(p._a, p._b, p._d) for p in phi]
+    rows = []
+    for i, row in enumerate(row_nz):
+        in_tree = tree_cols[i]
+        sa, sb, sd = xi[i]._a, xi[i]._b, xi[i]._d
+        out = {}
+        for j, x in row.items():
+            if j in in_tree:
+                out[j] = ONE
+                continue
+            pa, pb, pd = col[j]
+            ra, rb = sa * pa - sb * pb, sa * pb + sb * pa
+            out[j] = _reduce(ra * x._a - rb * x._b, ra * x._b + rb * x._a, sd * pd * x._d)
+        rows.append(out)
     return ScalingNormalization(
         tree_edges=tuple(tree),
         normalized=Mat._from_rows(rows, l),

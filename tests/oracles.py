@@ -6,8 +6,10 @@ and it computes on (re, im) pairs of stdlib Fractions rather than on
 GaussRat, converting only where an oracle takes or returns library values;
 the commutant system is assembled over all matrix positions with no
 presolve; isomorphism is decided by enumerating permutations and
-propagating scalings along the zero pattern; zero-pattern classes and
-components come from a dense flood fill rather than the library's walk;
+propagating scalings along the zero pattern; scaling normalization
+gauges along a given tree on Fraction pairs until no edge changes, and
+multiplies every entry out in full; zero-pattern classes and components
+come from a dense flood fill rather than the library's walk;
 and relation reports come from both sides of each relation evaluated in
 full on dense grids of Fraction pairs, rather than from generator words.
 """
@@ -211,6 +213,37 @@ def _scaling_match(
                         xi[i] = want
                         queue.append(("r", i))
     return True
+
+
+def oracle_scaling_normalize(
+    m: Mat, tree_edges: Sequence[tuple[int, int]]
+) -> tuple[list[list[Pair]], list[Pair], list[Pair]]:
+    """Gauge the row and column scalings along the given spanning tree, on
+    Fraction pairs: the first row scalar is 1, and each tree edge whose one
+    end is gauged fixes the other so that the scaled entry is 1, until no
+    edge changes anything.  Returns the scaled grid with every entry
+    multiplied out in full (tree entries included), and the row and column
+    scalars."""
+    grid = _pairs(m.entries)
+    xi: dict[int, Pair] = {0: _PAIR_ONE}
+    phi: dict[int, Pair] = {}
+    changed = True
+    while changed:
+        changed = False
+        for i, j in tree_edges:
+            if i in xi and j not in phi:
+                phi[j] = pair_inverse(pair_mul(xi[i], grid[i][j]))
+                changed = True
+            elif j in phi and i not in xi:
+                xi[i] = pair_inverse(pair_mul(phi[j], grid[i][j]))
+                changed = True
+    rows = [xi[i] for i in range(m.rows)]
+    cols = [phi[j] for j in range(m.cols)]
+    scaled = [
+        [pair_mul(pair_mul(rows[i], cols[j]), x) for j, x in enumerate(row)]
+        for i, row in enumerate(grid)
+    ]
+    return scaled, rows, cols
 
 
 def oracle_zero_pattern(mat: Mat) -> tuple[

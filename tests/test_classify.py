@@ -36,6 +36,7 @@ from periplectic import (
     verdict_to_json,
     verify_periplectic,
 )
+from periplectic import classify
 from periplectic.sampling import random_monomial_pair, random_seed
 
 from oracles import (
@@ -200,6 +201,28 @@ class TestIsomorphic:
         assert not isomorphic(first, other_ratio)
 
     def test_rejects_undecidable_inputs(self):
+        degenerate = Seed(2, 1, Mat([[1], [1]]), (q(3), q(3), q(0)))
+        with pytest.raises(PreconditionError, match="endo_report"):
+            isomorphic(degenerate, degenerate)
+
+    def test_no_monomial_action(self, monkeypatch):
+        """Sorting permutes stored entries: canonical_form and isomorphic
+        build no monomial pair and act with none, and refuse as before."""
+        g = MonomialPair((1, 0, 2), (q(1), q(2), q(0, 1)), (1, 0), (q(3), q("1/2")))
+        acted = group_act(g, REFERENCE)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the monomial action was called")
+
+        monkeypatch.setattr(classify, "group_act", forbidden)
+        monkeypatch.setattr(classify, "MonomialPair", forbidden)
+        assert canonical_form(REFERENCE).coupling == Mat([[1, 1], [0, 1], [1, 0]])
+        assert canonical_form(acted) == canonical_form(REFERENCE)
+        assert isomorphic(REFERENCE, acted)
+        with pytest.raises(PreconditionError, match="regular"):
+            canonical_form(Seed(2, 1, Mat([[1], [1]]), (q(3), q(3), q(0))))
+        with pytest.raises(PreconditionError, match="rhizomatic"):
+            canonical_form(Seed(2, 2, Mat.identity(2), (q(1), q(2), q(3), q(4))))
         degenerate = Seed(2, 1, Mat([[1], [1]]), (q(3), q(3), q(0)))
         with pytest.raises(PreconditionError, match="endo_report"):
             isomorphic(degenerate, degenerate)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +22,7 @@ from periplectic import (
 )
 from periplectic.sampling import random_matrix, random_rhizomatic_matrix
 
-from oracles import oracle_zero_pattern
+from oracles import oracle_scaling_normalize, oracle_zero_pattern, pairs_to_gauss
 
 # Three 7x10 reference patterns exercising every failure mode: two entry
 # classes, a single class with uncovered rows and columns, and a rhizomatic
@@ -168,13 +169,15 @@ class TestBipartiteComponents:
                 assert len({lookup[("r", i)] for i, _ in same}) == 1
 
 
-def _forest_cells(draw, rows: int, cols: int) -> set[tuple[int, int]]:
+def _forest_cells(
+    draw, rows: int, cols: int, max_cuts: int = 2
+) -> set[tuple[int, int]]:
     """Cells of a spanning forest: the vertices in a drawn order, cut into
-    1-3 runs; in each run holding both kinds, every vertex is attached to a
-    drawn earlier vertex of the other kind (the first row and the first
-    column to each other).  A run of one kind stays isolated."""
+    1 to max_cuts + 1 runs; in each run holding both kinds, every vertex is
+    attached to a drawn earlier vertex of the other kind (the first row and
+    the first column to each other).  A run of one kind stays isolated."""
     order = draw(st.permutations([(0, i) for i in range(rows)] + [(1, j) for j in range(cols)]))
-    cuts = sorted(draw(st.lists(st.integers(1, len(order) - 1), max_size=2)))
+    cuts = sorted(draw(st.lists(st.integers(1, len(order) - 1), max_size=max_cuts)))
     cells: set[tuple[int, int]] = set()
     for run in (order[a:b] for a, b in zip([0, *cuts], [*cuts, len(order)])):
         first = {kind: x for kind, x in reversed(run)}
@@ -191,19 +194,29 @@ def _forest_cells(draw, rows: int, cols: int) -> set[tuple[int, int]]:
     return cells
 
 
+GAUSSIAN_INTEGERS = st.builds(GaussRat, st.integers(-3, 3), st.integers(-3, 3)).filter(bool)
+_FRACTIONS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+# denominators 1-9 in both parts, so products share nontrivial gcds
+GAUSSIAN_RATIONALS = st.builds(GaussRat, _FRACTIONS, _FRACTIONS).filter(bool)
+
+
 @st.composite
-def sparse_patterns(draw) -> Mat:
-    """0-8 rows and columns of small nonzero Gaussian integers on a sparse
-    set of cells; half the draws with rows and columns add a spanning
-    forest, so rhizomatic patterns and several classes are both common."""
-    rows, cols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+def sparse_patterns(draw, value=GAUSSIAN_INTEGERS, connected: bool = False) -> Mat:
+    """0-8 rows and columns of nonzero values on a sparse set of cells; half
+    the draws with rows and columns add a spanning forest, so rhizomatic
+    patterns and several classes are both common.  A connected pattern has
+    1-8 rows and columns and always holds a spanning tree, so it is
+    rhizomatic."""
+    low = 1 if connected else 0
+    rows, cols = draw(st.integers(low, 8)), draw(st.integers(low, 8))
     cells: set[tuple[int, int]] = set()
     if rows and cols:
         cell = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
         cells = draw(st.sets(cell, max_size=rows * cols // 4 + 1))
-        if draw(st.booleans()):
+        if connected:
+            cells |= _forest_cells(draw, rows, cols, max_cuts=0)
+        elif draw(st.booleans()):
             cells |= _forest_cells(draw, rows, cols)
-    value = st.builds(GaussRat, st.integers(-3, 3), st.integers(-3, 3)).filter(bool)
     grid = [[ZERO] * cols for _ in range(rows)]
     for i, j in sorted(cells):
         grid[i][j] = draw(value)
@@ -255,6 +268,17 @@ class TestAgainstFloodFill:
 
 
 class TestScalingNormalize:
+    @given(sparse_patterns(GAUSSIAN_RATIONALS, connected=True))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_pair_oracle(self, m):
+        result = scaling_normalize(m)
+        scaled, rows, cols = oracle_scaling_normalize(m, result.tree_edges)
+        # GaussRat equality compares the stored ints, so an entry left
+        # unreduced fails here even where its value is right
+        assert result.normalized == Mat(pairs_to_gauss(scaled), cols=m.cols)
+        assert result.row_scalars == tuple(GaussRat(*x) for x in rows)
+        assert result.col_scalars == tuple(GaussRat(*x) for x in cols)
+
     def test_two_by_two_cross_ratio(self):
         m = Mat([[2, 3], [5, GaussRat(7, 1)]])
         result = scaling_normalize(m)
