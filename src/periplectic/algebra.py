@@ -28,7 +28,7 @@ from .linalg import (
     _decode_at,
     _json_kind,
     _reduce,
-    _word_row,
+    _word_rows,
     as_gauss,
     mat_from_json,
     mat_to_json,
@@ -108,9 +108,10 @@ def _check(
     n: int, relations: list[tuple[str, list, list]], premises: Mapping[str, tuple[str, ...]]
 ) -> RelationReport:
     """Check relations (name, lhs words, rhs words), each side a sum of
-    words as `linalg._word_row` takes them.  A violation is the first row
-    where lhs - rhs is nonzero, at its smallest such column: the one entry
-    where lhs and rhs are reduced, once each.
+    words as `linalg._word_rows` takes them, which streams the rows of
+    lhs - rhs.  A violation is the first nonzero row, at its smallest
+    nonzero column: the one entry where lhs and rhs, that row alone, are
+    evaluated and reduced once each.
 
     `premises` maps a relation that the others imply to the relations it
     follows from.  It is evaluated only when one of them failed; otherwise
@@ -122,11 +123,11 @@ def _check(
         if name in premises and failed.keys().isdisjoint(premises[name]):
             continue
         difference = lhs + [(-c, *mats) for c, *mats in rhs]
-        for i in range(n):
-            hit = [j for j, (a, b, _) in _word_row(difference, i).items() if a or b]
+        for i, acc in enumerate(_word_rows(difference, range(n))):
+            hit = [j for j, (a, b, _) in acc.items() if a or b]
             if hit:
                 j = min(hit)
-                sides = (_word_row(words, i).get(j, (0, 0, 1)) for words in (lhs, rhs))
+                sides = (next(_word_rows(words, [i])).get(j, (0, 0, 1)) for words in (lhs, rhs))
                 failed[name] = Violation(name, (i, j), *(_reduce(*t) for t in sides))
                 break
     names = tuple(r[0] for r in relations)

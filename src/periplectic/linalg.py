@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 from functools import total_ordering
 from math import gcd
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import CodecError, PreconditionError, ShapeError
 
@@ -417,12 +417,12 @@ class Mat:
 
     @classmethod
     def _from_words(cls, words: Sequence[tuple], rows: int, cols: int) -> "Mat":
-        """The sum of words c*L*R (see `_word_row`) as a rows x cols Mat: the
+        """The sum of words c*L*R (see `_word_rows`) as a rows x cols Mat: the
         builder of every Mat sum and product, one gcd per stored entry."""
         return cls._from_rows(
             [
-                {j: _reduce(a, b, d) for j, (a, b, d) in _word_row(words, i).items() if a or b}
-                for i in range(rows)
+                {j: _reduce(a, b, d) for j, (a, b, d) in acc.items() if a or b}
+                for acc in _word_rows(words, range(rows))
             ],
             cols,
         )
@@ -659,36 +659,64 @@ def mat_from_json(data: object, *, rows: int, cols: int) -> Mat:
     return Mat._from_rows(out, cols)
 
 
-def _word_row(words: Iterable[tuple], i: int) -> dict[int, tuple[int, int, int]]:
-    """Row i of the sum of words c*L*R, c = 1 or -1, as unreduced (a, b, d)
-    triples by column, built with no intermediate Mat.  R, or L and R, may
-    be left out of a word (c, L, R); each stands for the identity.  Sums
-    add numerators when denominators match; when one denominator divides
-    the other, the smaller one is scaled up, and otherwise the two are
-    cross-multiplied.  No sum is reduced here; the caller reduces each
-    entry once.  A sum that cancels keeps a zero pair."""
-    acc: dict[int, tuple[int, int, int]] = {}
-    for c, *mats in words:
-        for p, x in (mats[0].nonzero[i] if mats else {i: ONE}).items():
-            xa, xb, xd = c * x._a, c * x._b, x._d
-            for j, y in mats[1].nonzero[p].items() if len(mats) > 1 else ((p, ONE),):
-                a, b, d = xa * y._a - xb * y._b, xa * y._b + xb * y._a, xd * y._d
-                v = acc.get(j)
-                if v is None:
-                    acc[j] = (a, b, d)
-                    continue
-                va, vb, vd = v
-                if vd == d:
-                    acc[j] = (va + a, vb + b, d)
-                elif not vd % d:
-                    m = vd // d
-                    acc[j] = (va + a * m, vb + b * m, vd)
-                elif not d % vd:
-                    m = d // vd
-                    acc[j] = (va * m + a, vb * m + b, d)
-                else:
-                    acc[j] = (va * d + a * vd, vb * d + b * vd, vd * d)
-    return acc
+def _word_rows(
+    words: Iterable[tuple], rows: Iterable[int]
+) -> Iterator[dict[int, tuple[int, int, int]]]:
+    """Yield row i of the sum of words c*L*R, c = 1 or -1, for each i in
+    `rows` in turn, as unreduced (a, b, d) triples by column.  R, or L and
+    R, may be left out of a word (c, L, R); each stands for the identity.
+    Words are resolved once per call and added in the order given, with one
+    loop per shape: a helper call or identity lookup per term costs more
+    than the rest of the loop.  Sums add numerators when denominators
+    match; when one divides the other, the smaller is scaled up, and
+    otherwise the two are cross-multiplied.  No sum is reduced here; the
+    caller reduces each entry once.  A sum that cancels keeps a zero pair."""
+    plan = [(c, *(m.nonzero for m in mats), None, None)[:3] for c, *mats in words]
+    for i in rows:
+        acc: dict[int, tuple[int, int, int]] = {}
+        for c, left, right in plan:
+            if left is None:
+                va, vb, vd = acc.get(i, (0, 0, 1))
+                acc[i] = (va + c * vd, vb, vd)
+            elif right is None:
+                for j, x in left[i].items():
+                    a, b, d = c * x._a, c * x._b, x._d
+                    v = acc.get(j)
+                    if v is None:
+                        acc[j] = (a, b, d)
+                        continue
+                    va, vb, vd = v
+                    if vd == d:
+                        acc[j] = (va + a, vb + b, d)
+                    elif not vd % d:
+                        m = vd // d
+                        acc[j] = (va + a * m, vb + b * m, vd)
+                    elif not d % vd:
+                        m = d // vd
+                        acc[j] = (va * m + a, vb * m + b, d)
+                    else:
+                        acc[j] = (va * d + a * vd, vb * d + b * vd, vd * d)
+            else:
+                for p, x in left[i].items():
+                    xa, xb, xd = c * x._a, c * x._b, x._d
+                    for j, y in right[p].items():
+                        a, b, d = xa * y._a - xb * y._b, xa * y._b + xb * y._a, xd * y._d
+                        v = acc.get(j)
+                        if v is None:
+                            acc[j] = (a, b, d)
+                            continue
+                        va, vb, vd = v
+                        if vd == d:
+                            acc[j] = (va + a, vb + b, d)
+                        elif not vd % d:
+                            m = vd // d
+                            acc[j] = (va + a * m, vb + b * m, vd)
+                        elif not d % vd:
+                            m = d // vd
+                            acc[j] = (va * m + a, vb * m + b, d)
+                        else:
+                            acc[j] = (va * d + a * vd, vb * d + b * vd, vd * d)
+        yield acc
 
 
 def _echelon(

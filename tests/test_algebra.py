@@ -28,7 +28,7 @@ from periplectic import (
     verify_periplectic,
 )
 from periplectic import algebra
-from periplectic.linalg import _word_row
+from periplectic.linalg import _word_rows
 from periplectic.sampling import random_nonzero_gauss, random_polynomial, random_seed
 
 from oracles import oracle_relation_report, to_pair
@@ -180,6 +180,27 @@ class TestReportsMatchOracle:
             failed += not verify_periplectic(changed).passed
         assert failed >= 20
 
+    def test_entries_changed_in_two_rows(self):
+        # relation rows are streamed in order, so the report names the first
+        # offending entry; in most trials a violation lies in the upper of
+        # the two changed rows, the one with the smaller index, and none in
+        # the lower
+        rng = random.Random(35)
+        at_upper = 0
+        for t in range(24):
+            rep = build_rep(random_seed(rng, 6, 6))
+            n = rep.dim
+            if n < 2:
+                continue
+            name = ("s", "e", "y1", "y2")[t % 4]
+            upper, lower = sorted(rng.sample(range(n), 2))
+            for i in (lower, upper):
+                rep = _changed(rep, name, i, rng.randrange(n), random_nonzero_gauss(rng))
+            _assert_reports_match_oracle(rep)
+            rows = [v.position[0] for v in verify_periplectic(rep).violations]
+            at_upper += upper in rows and lower not in rows
+        assert at_upper >= 12
+
     def test_dense_unitriangular_conjugates(self):
         rng = random.Random(33)
         for t in range(8):
@@ -242,19 +263,51 @@ class TestReportsMatchOracle:
         assert min(alone["s*y1 = y2*s - 1 - e"], alone["e*s = e"], alone["s*e = -e"]) >= 8
 
 
+def _stream_log(monkeypatch) -> list[tuple[object, list[int]]]:
+    """Route algebra's word kernel through a wrapper that logs each call as
+    (rows asked for, rows its caller took from the stream)."""
+    log: list[tuple[object, list[int]]] = []
+
+    def logged(words, rows):
+        taken: list[int] = []
+        log.append((rows, taken))
+        for i, acc in zip(rows, _word_rows(words, rows)):
+            taken.append(i)
+            yield acc
+
+    monkeypatch.setattr(algebra, "_word_rows", logged)
+    return log
+
+
 def test_derived_relations_are_not_evaluated(monkeypatch, reference_seed):
-    # every relation passes, so each evaluated one reads every row once
-    rows: list[int] = []
-    monkeypatch.setattr(algebra, "_word_row", lambda words, i: rows.append(i) or _word_row(words, i))
+    # every relation passes, so each evaluated one streams every row once
+    log = _stream_log(monkeypatch)
     hecke = build_hecke_module(2, 3, Mat([[1, 0, 2], [0, 3, 1]]))
     for rep, verify, evaluated in (
         (build_rep(reference_seed), verify_periplectic, 6),
         (hecke, verify_periplectic, 6),
         (hecke, verify_hecke, 2),
     ):
-        rows.clear()
+        log.clear()
         assert verify(rep).passed
-        assert len(rows) == evaluated * rep.dim
+        assert sum(len(taken) for _, taken in log) == evaluated * rep.dim
+
+
+def test_a_failing_first_row_stops_its_stream(monkeypatch, reference_seed):
+    # with e_00 changed, five relations fail at row 0 and the other four
+    # hold; each failing stream yields row 0 alone, and its violation
+    # re-reads row 0 of lhs and of rhs
+    rep = _changed(build_rep(reference_seed), "e", 0, 0, GaussRat(1))
+    log = _stream_log(monkeypatch)
+    report = verify_periplectic(rep)
+    assert [v.position[0] for v in report.violations] == [0] * 5
+    streams = [taken for rows, taken in log if rows == range(rep.dim)]
+    rereads = [taken for rows, taken in log if rows == [0]]
+    assert len(streams) + len(rereads) == len(log)
+    assert sorted(map(len, streams)) == [1] * len(report.violations) + [rep.dim] * (
+        len(streams) - len(report.violations)
+    )
+    assert rereads == [[0]] * (2 * len(report.violations))
 
 
 def test_poly_matrix_explicit():

@@ -232,11 +232,54 @@ class TestWordKernel:
         # 1/2 + 1/4 + 1/8 in any order stays over 8: the smaller of two
         # denominators is scaled up when it divides the larger
         words = [(1, Mat([[F(1, d)]])) for d in order]
-        assert linalg._word_row(words, 0) == {0: (7, 0, 8)}
+        assert list(linalg._word_rows(words, [0])) == [{0: (7, 0, 8)}]
 
     def test_coprime_denominators_are_cross_multiplied(self):
         words = [(1, Mat([[F(1, 2)]]), Mat([[F(1, 3)]])), (-1, Mat([[F(1, 5)]]))]
-        assert linalg._word_row(words, 0) == {0: (-1, 0, 30)}
+        assert list(linalg._word_rows(words, [0])) == [{0: (-1, 0, 30)}]
+
+    def test_a_cancelling_sum_keeps_zero_pairs(self):
+        a = Mat([[F(1, 3), F(-5, 9)], [0, F(1, 6)]])
+        words = [(1,), (1, a, a), (-1, a), (-1, a, a), (-1,), (1, a)]
+        rows = linalg._word_rows(words, [1, 0])
+        pairs = [{j: (x, y) for j, (x, y, _) in acc.items()} for acc in rows]
+        assert pairs == [{1: (0, 0)}, {0: (0, 0), 1: (0, 0)}]
+        assert Mat._from_words(words, 2, 2).nonzero == ({}, {})
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_sums_of_words_match_the_reference(self, data):
+        # words of all three shapes, (c,), (c, L) and (c, L, R), with c = 1
+        # or -1, over denominators that meet every branch of the update;
+        # with its own negation appended the sum cancels everywhere
+        n = data.draw(st.integers(1, 5))
+        one = pair_diagonal([(F(1), F(0))] * n)
+        words, expected = [], pair_zero_grid(n, n)
+        for _ in range(data.draw(st.integers(1, 4))):
+            c = data.draw(st.sampled_from([1, -1]))
+            square = grids(n, n, _WIDE_VALUES, data.draw(st.booleans()))
+            factors = data.draw(st.lists(square, max_size=2))
+            term = one
+            for g in factors:
+                term = pair_product(term, g, n)
+            expected = pair_sum(expected, term if c == 1 else pair_neg(term))
+            words.append((c, *(mat(g, n) for g in factors)))
+        cancel = data.draw(st.booleans())
+        if cancel:
+            words += [(-c, *mats) for c, *mats in words]
+            expected = pair_zero_grid(n, n)
+        subset = data.draw(st.permutations(range(n)))[: data.draw(st.integers(1, n))]
+        for rows in (range(n), subset):
+            accs = list(linalg._word_rows(words, rows))
+            assert len(accs) == len(rows)
+            for i, acc in zip(rows, accs):
+                assert all(d > 0 for _, _, d in acc.values())
+                assert not cancel or all(not a and not b for a, b, _ in acc.values())
+                row = [_ZERO_PAIR] * n
+                for j, (a, b, d) in acc.items():
+                    row[j] = (F(a, d), F(b, d))
+                assert row == expected[i]
+        check_matches(Mat._from_words(words, n, n), expected, n)
 
 
 class TestZeroCells:
