@@ -6,7 +6,7 @@ two-strand degenerate affine periplectic Brauer algebra; the Hecke checker
 reports on the four relations of the degenerate affine Hecke algebra, the
 quotient in which e becomes zero.
 
-Three relations follow from others, so the checkers evaluate one only when
+Some relations follow from others, so the checkers evaluate one only when
 one of its premises fails (over Q(i), where 2 is invertible):
 - y1*y2 = y2*y1 on a calibrated module, with no premise: diagonal matrices
   commute;
@@ -14,7 +14,18 @@ one of its premises fails (over Q(i), where 2 is invertible):
   s*e = -e: conjugating s*y1 = y2*s - 1 - e by s gives
   y1*s = s*y2 - 1 - s*e*s, and s*e*s = -e*s = -e.  With e = 0 this is the
   Hecke s*y2 = y1*s + 1 from s*s = 1 and s*y1 = y2*s - 1;
-- e*e = 0 from e*s = e and s*e = -e: e*e = e*s*e = -e*e.
+- e*e = 0 from e*s = e and s*e = -e: e*e = e*s*e = -e*e;
+- e*y2 = e*y1 + e and y1*e = y2*e + e on a calibrated module, from the
+  premises of s*y2.  Write y1 = diag(u), y2 = diag(v) and w = u - v.
+  Subtracting s*y2 = y1*s + 1 - e from the s*y1 relation gives
+  s_ij (w_i + w_j) = -2 d_ij (d the Kronecker delta), so s_ii = -1/w_i
+  with w_i != 0, and s_ij != 0 for i != j forces w_j = -w_i.  The s*y1
+  relation reads e_ij = s_ij (v_i - u_j) - d_ij, so e_ii = 0 and e_ij != 0
+  forces w_j = -w_i.  For such (i, j), any other term e_ip s_pj of
+  (e*s)_ij would need w_j = -w_p = w_i, so w_i = 0; hence
+  (e*s)_ij = e_ij s_jj = e_ij / w_i, and e*s = e gives w_i = 1, w_j = -1.
+  So (e*(y2 - y1 - 1))_ij =
+  -(w_j + 1) e_ij = 0 and ((y1 - y2 - 1)*e)_ij = (w_i - 1) e_ij = 0.
 """
 
 from __future__ import annotations
@@ -138,6 +149,7 @@ def verify_periplectic(rep: Rep) -> RelationReport:
     """Check all nine defining relations; the report carries the first
     offending entry of each relation that fails."""
     y1, y2, s, e = rep.generators()
+    s_y2_premises = ("s*s = 1", "s*y1 = y2*s - 1 - e", "e*s = e", "s*e = -e")
     return _check(rep.dim, [
         ("s*s = 1", [(1, s, s)], [(1,)]),
         ("y1*y2 = y2*y1", [(1, y1, y2)], [(1, y2, y1)]),
@@ -149,8 +161,12 @@ def verify_periplectic(rep: Rep) -> RelationReport:
         ("e*y2 = e*y1 + e", [(1, e, y2)], [(1, e, y1), (1, e)]),
         ("y1*e = y2*e + e", [(1, y1, e)], [(1, y2, e), (1, e)]),
     ], {
-        **({"y1*y2 = y2*y1": ()} if rep.is_calibrated else {}),
-        "s*y2 = y1*s + 1 - e": ("s*s = 1", "s*y1 = y2*s - 1 - e", "e*s = e", "s*e = -e"),
+        **({
+            "y1*y2 = y2*y1": (),
+            "e*y2 = e*y1 + e": s_y2_premises,
+            "y1*e = y2*e + e": s_y2_premises,
+        } if rep.is_calibrated else {}),
+        "s*y2 = y1*s + 1 - e": s_y2_premises,
         "e*e = 0": ("e*s = e", "s*e = -e"),
     })
 

@@ -112,19 +112,22 @@ def build_hecke_module(k: int, l: int, coupling: Mat) -> Rep:
         raise ShapeError(f"coupling must be {k}x{l}, got {coupling.shape}")
     y1 = Mat.diagonal([ZERO] * k + [_MINUS_ONE] * l)
     y2 = Mat.diagonal([_MINUS_ONE] * k + [ZERO] * l)
-    s = Mat.block(
-        [
-            [Mat.diagonal([_MINUS_ONE] * k), coupling],
-            [Mat.zero(l, k), Mat.identity(l)],
-        ]
-    )
-    return Rep(k, l, y1=y1, y2=y2, s=s, e=Mat.zero(k + l, k + l))
+    return Rep(k, l, y1=y1, y2=y2, s=_hecke_s(k, l, coupling), e=Mat.zero(k + l, k + l))
+
+
+def _hecke_s(k: int, l: int, coupling: Mat) -> Mat:
+    """s = [[-1, S], [0, 1]] for the k x l coupling S, one row per stored row of S."""
+    top = [
+        {i: _MINUS_ONE, **{k + j: x for j, x in row.items()}}
+        for i, row in enumerate(coupling.nonzero)
+    ]
+    return Mat._from_rows(top + [{k + r: ONE} for r in range(l)], k + l)
 
 
 def build_rep(seed: Seed) -> Rep:
     """The Hecke module shifted to y1 = diag(a, b - 1) and y2 = diag(a - 1, b),
     with e derived from the mixed relation e = 1 + y1*s - s*y2."""
-    s = build_hecke_module(seed.k, seed.l, seed.coupling).s
+    s = _hecke_s(seed.k, seed.l, seed.coupling)
     y1 = Mat.diagonal(seed.a + tuple(x - ONE for x in seed.b))
     y2 = Mat.diagonal(tuple(x - ONE for x in seed.a) + seed.b)
     e = Mat._from_words([(1,), (1, y1, s), (-1, s, y2)], s.rows, s.cols)

@@ -262,6 +262,36 @@ class TestReportsMatchOracle:
                 alone[failed[0]] += 1
         assert min(alone["s*y1 = y2*s - 1 - e"], alone["e*s = e"], alone["s*e = -e"]) >= 8
 
+    def test_failed_e_y_relation_has_a_failed_premise(self):
+        """One y1 diagonal entry of a built module moved, or the same entry
+        of y1 and y2, and e re-derived from s*y1 = y2*s - 1 - e: the module
+        stays calibrated and keeps s*s = 1 and s*y1, so wherever an e-y
+        relation fails, e*s = e or s*e = -e fails too."""
+        rng = random.Random(5)
+        e_y = ("e*y2 = e*y1 + e", "y1*e = y2*e + e")
+        e_y_failures = 0
+        for t in range(300):
+            rep = build_rep(random_seed(rng))
+            n = rep.dim
+            i, delta = rng.randrange(n), random_nonzero_gauss(rng)
+            for name in ("y1", "y2")[: 1 + t % 2]:
+                rep = _changed(rep, name, i, i, delta)
+            y1, y2, s, _ = rep.generators()
+            rep = Rep(rep.k, rep.l, y1, y2, s, y2 * s - Mat.identity(n) - s * y1)
+            assert rep.is_calibrated
+            passed, violations, checked = oracle_relation_report(rep)
+            failed = {name for name, *_ in violations}
+            assert failed.isdisjoint(PREMISES[:2])
+            if not failed.isdisjoint(e_y):
+                e_y_failures += 1
+                assert not failed.isdisjoint(PREMISES[2:])
+            report = verify_periplectic(rep)
+            assert (report.passed, report.checked) == (passed, tuple(checked))
+            assert [
+                (v.relation, v.position, to_pair(v.lhs), to_pair(v.rhs)) for v in report.violations
+            ] == violations
+        assert e_y_failures >= 50
+
 
 def _stream_log(monkeypatch) -> list[tuple[object, list[int]]]:
     """Route algebra's word kernel through a wrapper that logs each call as
@@ -280,13 +310,18 @@ def _stream_log(monkeypatch) -> list[tuple[object, list[int]]]:
 
 
 def test_derived_relations_are_not_evaluated(monkeypatch, reference_seed):
-    # every relation passes, so each evaluated one streams every row once
+    # every relation passes, so each evaluated one streams every row once;
+    # a calibrated module derives five of the nine periplectic relations, and
+    # a conjugate by a unit upper triangular matrix, not calibrated, two
     log = _stream_log(monkeypatch)
     hecke = build_hecke_module(2, 3, Mat([[1, 0, 2], [0, 3, 1]]))
+    conjugate = _unitriangular_conjugate(build_rep(reference_seed), random.Random(6))
+    assert not conjugate.is_calibrated
     for rep, verify, evaluated in (
-        (build_rep(reference_seed), verify_periplectic, 6),
-        (hecke, verify_periplectic, 6),
+        (build_rep(reference_seed), verify_periplectic, 4),
+        (hecke, verify_periplectic, 4),
         (hecke, verify_hecke, 2),
+        (conjugate, verify_periplectic, 7),
     ):
         log.clear()
         assert verify(rep).passed
