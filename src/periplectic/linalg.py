@@ -910,11 +910,17 @@ def commutant_basis(gens: Sequence[Mat]) -> list[Mat]:
     if n == 0:
         return []
 
-    diagonal = [g for g in mats if g.is_diagonal()]
-    others = [g for g in mats if not g.is_diagonal()]
+    # the diagonal of each diagonal generator, and the other generators
+    diagonals: list[list[GaussRat]] = []
+    others: list[Mat] = []
+    for g in mats:
+        if g.is_diagonal():
+            diagonals.append([row.get(i, ZERO) for i, row in enumerate(g.nonzero)])
+        else:
+            others.append(g)
     # X[i][j] is free when i and j have the same entry in every diagonal
-    # generator
-    keys = [tuple(g.nonzero[i].get(i, ZERO) for g in diagonal) for i in range(n)]
+    # generator; with no diagonal generator every key is ()
+    keys = list(zip(*diagonals)) if diagonals else [()] * n
     classes: dict[tuple[GaussRat, ...], list[int]] = {}
     for i, key in enumerate(keys):
         classes.setdefault(key, []).append(i)

@@ -18,6 +18,8 @@ from .linalg import (
     ZERO,
     _decode_at,
     _json_kind,
+    _make,
+    _reduce,
     as_gauss,
     gauss_from_json,
     gauss_to_json,
@@ -126,20 +128,56 @@ def _hecke_s(k: int, l: int, coupling: Mat) -> Mat:
 
 def build_rep(seed: Seed) -> Rep:
     """The Hecke module shifted to y1 = diag(a, b - 1) and y2 = diag(a - 1, b),
-    with e derived from the mixed relation e = 1 + y1*s - s*y2."""
-    s = _hecke_s(seed.k, seed.l, seed.coupling)
-    y1 = Mat.diagonal(seed.a + tuple(x - ONE for x in seed.b))
-    y2 = Mat.diagonal(tuple(x - ONE for x in seed.a) + seed.b)
-    e = Mat._from_words([(1,), (1, y1, s), (-1, s, y2)], s.rows, s.cols)
-    return Rep(seed.k, seed.l, y1=y1, y2=y2, s=s, e=e)
+    with e zero outside the upper-right k x l corner, where
+    e[i][k + j] = (a_i - b_j) * S_ij for the coupling S.
+
+    y1, y2 and e are written from the integer triples (a, b, d) of the
+    shifts and the coupling.  x - 1 is (a - d, b, d), already normalised
+    since gcd(a - d, b, d) = gcd(a, b, d), and each stored e entry is
+    reduced once; zeros are not stored.  `entrywise_e` is the second route
+    to e, on GaussRat operators, and `verify_periplectic`'s `s*y1` relation
+    pins e = y2*s - s*y1 - 1.
+    """
+    k, l = seed.k, seed.l
+    n = k + l
+    lowered = [_make(x._a - x._d, x._b, x._d) for x in seed.eigenvalues]
+
+    def diagonal(values: list[GaussRat]) -> Mat:
+        return Mat._from_rows([{t: x} if x else {} for t, x in enumerate(values)], n)
+
+    shifts = [(x._a, x._b, x._d) for x in seed.b]
+    top = []
+    for x, row in zip(seed.a, seed.coupling.nonzero):
+        p, q, r = x._a, x._b, x._d
+        out = {}
+        for j, z in row.items():
+            # a_i - b_j, unreduced
+            u, v, w = shifts[j]
+            if w == r:
+                u, v = p - u, q - v
+            else:
+                u, v, w = p * w - u * r, q * w - v * r, r * w
+            if u or v:
+                out[k + j] = _reduce(u * z._a - v * z._b, u * z._b + v * z._a, w * z._d)
+        top.append(out)
+    return Rep(
+        k,
+        l,
+        y1=diagonal([*seed.a, *lowered[k:]]),
+        y2=diagonal([*lowered[:k], *seed.b]),
+        s=_hecke_s(k, l, seed.coupling),
+        e=Mat._from_rows(top + [{}] * l, n),
+    )
 
 
 def entrywise_e(seed: Seed) -> Mat:
-    """The e matrix of build_rep computed entry by entry: the only nonzero
-    block is the upper-right k x l corner with entries (a_i - b_j) * coupling_ij.
+    """The e matrix of build_rep computed entry by entry with GaussRat
+    operators: the only nonzero block is the upper-right k x l corner with
+    entries (a_i - b_j) * coupling_ij.
 
-    Kept as a second route to the same matrix; build_rep derives e from the
-    relations instead.
+    Kept as a second route to the same matrix, which the tests and `fuzz`
+    compare with build_rep's; build_rep computes each entry on integer
+    triples instead.
     """
     k, l = seed.k, seed.l
     rows = []

@@ -9,8 +9,9 @@ presolve; isomorphism is decided by enumerating permutations and
 propagating scalings along the zero pattern; scaling normalization
 gauges along a given tree on Fraction pairs until no edge changes, and
 multiplies every entry out in full; zero-pattern classes and components
-come from a dense flood fill rather than the library's walk;
-and relation reports come from both sides of each relation evaluated in
+come from a dense flood fill rather than the library's walk; the
+generators of a seeded module are written from their closed forms on
+Fraction pairs; and relation reports come from both sides of each relation evaluated in
 full on dense grids of Fraction pairs, rather than from generator words.
 """
 
@@ -478,6 +479,29 @@ def pair_is_diagonal(a: PairGrid, cols: int) -> bool:
 
 def pairs_to_gauss(a: PairGrid) -> list[list[GaussRat]]:
     return [[GaussRat(*x) for x in row] for row in a]
+
+
+def oracle_build_rep(seed: Seed) -> dict[str, PairGrid]:
+    """The four generators of build_rep(seed) as dense (re, im) Fraction
+    grids, from the closed forms alone: y1 = diag(a, b - 1),
+    y2 = diag(a - 1, b), s = [[-1, S], [0, 1]], and e zero but for
+    e[i][k + j] = (a_i - b_j) * S_ij."""
+    k, l = seed.k, seed.l
+    a = [to_pair(x) for x in seed.a]
+    b = [to_pair(x) for x in seed.b]
+    coupling = _pairs(seed.coupling.entries)
+    s = pair_diagonal([pair_sub(_PAIR_ZERO, _PAIR_ONE)] * k + [_PAIR_ONE] * l)
+    e = pair_zero_grid(k + l, k + l)
+    for i in range(k):
+        for j in range(l):
+            s[i][k + j] = coupling[i][j]
+            e[i][k + j] = pair_mul(pair_sub(a[i], b[j]), coupling[i][j])
+    return {
+        "y1": pair_diagonal(a + [pair_sub(x, _PAIR_ONE) for x in b]),
+        "y2": pair_diagonal([pair_sub(x, _PAIR_ONE) for x in a] + b),
+        "s": s,
+        "e": e,
+    }
 
 
 def oracle_relation_report(

@@ -474,3 +474,26 @@ class TestCommutant:
             flat = [tuple(x for row in b.entries for x in row) for b in commutant_basis(gens)]
             assert flat == oracle_commutant_basis(gens), (kind, [g.entries for g in gens])
         assert isolated >= 100
+
+    def test_basis_does_not_depend_on_generator_order(self):
+        # diagonal generators first, last and interleaved with the others
+        # give one basis, and so does a list with no diagonal generator
+        rng = random.Random(17)
+        kinds = ["distinct", "distinct_pair", "repeated"]
+        for trial in range(60):
+            n = rng.randint(2, 5)
+            diagonals = self._diagonals(rng, n, kinds[trial % len(kinds)])
+            diagonals.append(Mat.diagonal([rng.randint(-2, 2) for _ in range(n)]))
+            others = []
+            while len(others) < 2:
+                g = random_matrix(rng, n, n, density=rng.uniform(0.2, 0.6))
+                if not g.is_diagonal():
+                    others.append(g)
+            interleaved = [g for pair in zip(diagonals, others) for g in pair]
+            interleaved += diagonals[len(others):]
+            expected = oracle_commutant_basis(others + diagonals)
+            for gens in (diagonals + others, others + diagonals, interleaved):
+                flat = [tuple(x for row in b.entries for x in row) for b in commutant_basis(gens)]
+                assert flat == expected, [g.entries for g in gens]
+            flat = [tuple(x for row in b.entries for x in row) for b in commutant_basis(others)]
+            assert flat == oracle_commutant_basis(others), [g.entries for g in others]

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -25,7 +27,9 @@ from periplectic import (
     verify_hecke,
     verify_periplectic,
 )
-from periplectic.sampling import random_seed
+from periplectic.sampling import random_gauss, random_matrix, random_seed
+
+from oracles import oracle_build_rep, to_pair
 
 TWO_I = GaussRat(0, 2)
 
@@ -116,6 +120,43 @@ class TestBuildRep:
         )
         assert rep.e.submatrix(range(5), range(3)).is_zero()
         assert rep.e.submatrix(range(3, 5), range(5)).is_zero()
+
+    # shifts half drawn from this pool, so that equal shifts on both sides
+    # and a shift of 1 (b - 1 = 0) are common
+    POOL = (
+        GaussRat(1),
+        GaussRat(0),
+        GaussRat(0, 1),
+        GaussRat(2, -3),
+        GaussRat(Fraction(1, 2), Fraction(-1, 3)),
+        GaussRat(-1),
+    )
+
+    def test_generators_match_closed_forms_oracle(self):
+        rng = random.Random(41)
+        seen: Counter = Counter()
+        for _ in range(240):
+            k, l = rng.randint(0, 5), rng.randint(0, 5)
+            coupling = random_matrix(rng, k, l, density=rng.uniform(0.2, 0.9))
+            ab = tuple(
+                rng.choice(self.POOL) if rng.random() < 0.5 else random_gauss(rng)
+                for _ in range(k + l)
+            )
+            seed = Seed(k, l, coupling, ab)
+            expected = oracle_build_rep(seed)
+            for name, m in zip(("y1", "y2", "s", "e"), build_rep(seed).generators()):
+                assert [[to_pair(x) for x in row] for row in m.entries] == expected[name], (name, seed)
+                assert all(x for row in m.nonzero for x in row.values()), (name, seed)
+            seen["gaussian shift"] += any(x.im for x in ab)
+            seen["a_i = b_j on a coupled pair"] += any(
+                seed.a[i] == seed.b[j] for i, row in enumerate(coupling.nonzero) for j in row
+            )
+            seen["shift 1"] += GaussRat(1) in ab
+            seen["zero coupling row or column"] += bool(k and l) and (
+                not all(coupling.nonzero) or not all(coupling.transpose().nonzero)
+            )
+            seen["k = 0 or l = 0"] += not (k and l)
+        assert len(seen) == 5 and min(seen.values()) >= 20, seen
 
 
 class TestSeed:
