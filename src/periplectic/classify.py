@@ -369,8 +369,11 @@ def canonical_form(seed: Seed) -> CanonicalForm:
     a, b = seed.a, seed.b
     sigma = sorted(range(k), key=a.__getitem__)
     tau = sorted(range(l), key=b.__getitem__)
+    # each stored entry moves to its row's and its column's sorted place
+    col_to, stored = {j: t for t, j in enumerate(tau)}, seed.coupling.nonzero
+    permuted = Mat._from_rows([{col_to[j]: x for j, x in stored[i].items()} for i in sigma], l)
     try:
-        norm = scaling_normalize(seed.coupling.submatrix(sigma, tau))
+        norm = scaling_normalize(permuted)
     except PreconditionError:
         raise PreconditionError("canonical form needs a rhizomatic coupling") from None
     eigenvalues = tuple(a[i] for i in sigma) + tuple(b[j] for j in tau)

@@ -787,13 +787,15 @@ def kernel_and_pivots(
     One basis vector per free column, in column order: 1 there and 0 at the
     other free columns, so the basis depends on the row space only.  Back
     substitution walks the nonzero entries of the monic pivot rows and
-    never divides.
+    never divides.  Each pivot's sum is accumulated on (a, b, d) triples,
+    adding numerators when denominators are equal and cross-multiplying
+    otherwise, and reduced once.
     """
     ech, pivots = _echelon(mat.nonzero)
     pivot_set = set(pivots)
-    # (pivot column, the rest of the row), last pivot first
+    # (pivot column, the rest of the row as triples), last pivot first
     steps = [
-        (c, [(j, a) for j, a in row.items() if j != c])
+        (c, [(j, a._a, a._b, a._d) for j, a in row.items() if j != c])
         for c, row in zip(reversed(pivots), reversed(ech))
     ]
     basis = []
@@ -802,13 +804,18 @@ def kernel_and_pivots(
             continue
         x: dict[int, GaussRat] = {free_col: ONE}
         for c, rest in steps:
-            acc = ZERO
-            for j, a in rest:
+            sa, sb, sd = 0, 0, 1
+            for j, ya, yb, yd in rest:
                 v = x.get(j)
-                if v is not None:
-                    acc = acc + a * v
-            if acc:
-                x[c] = -acc
+                if v is None:
+                    continue
+                ua, ub, ud = ya * v._a - yb * v._b, ya * v._b + yb * v._a, yd * v._d
+                if sd == ud:
+                    sa, sb = sa + ua, sb + ub
+                else:
+                    sa, sb, sd = sa * ud + ua * sd, sb * ud + ub * sd, sd * ud
+            if sa or sb:
+                x[c] = _reduce(-sa, -sb, sd)
         basis.append(_dense(x, mat.cols))
     return basis, pivots
 
@@ -839,36 +846,44 @@ def _walk(
     index, and the (row, column) edges that discovered a vertex, in
     visiting order.
     """
-    k = matrix.rows
-    # transpose rows list their keys in ascending order
-    row_nz, col_nz = matrix.nonzero, matrix.transpose().nonzero
-    # vertices 0..k-1 are the rows, k + j is column j
-    component = [-1] * (k + matrix.cols)
+    row_nz, l = matrix.nonzero, matrix.cols
+    # each column's rows, ascending, as the rows are read in order
+    col_nz: list[list[int]] = [[] for _ in range(l)]
+    for i, row in enumerate(row_nz):
+        for j in row:
+            col_nz[j].append(i)
+    row_component, col_component = [-1] * matrix.rows, [-1] * l
     components = []
     tree: list[tuple[int, int]] = []
-    for start in range(len(component)):
-        if component[start] >= 0:
+    for start, label in enumerate(row_component):
+        if label >= 0:
             continue
         index = len(components)
-        component[start] = index
-        order = [start]
-        for v in order:
-            if v < k:
-                for j in sorted(row_nz[v]):
-                    if component[k + j] < 0:
-                        component[k + j] = index
-                        tree.append((v, j))
-                        order.append(k + j)
-            else:
-                for i in col_nz[v - k]:
-                    if component[i] < 0:
-                        component[i] = index
-                        tree.append((i, v - k))
-                        order.append(i)
-        rows = tuple(sorted(v for v in order if v < k))
-        cols = tuple(sorted(v - k for v in order if v >= k))
-        components.append((rows, cols))
-    return components, component[:k], tree
+        row_component[start] = index
+        # a bipartite walk visits its layers in turn: rows, their new
+        # columns, the new rows of those, ...
+        rows, cols, layer = [start], [], [start]
+        while layer:
+            found = []
+            for i in layer:
+                for j in sorted(row_nz[i]):
+                    if col_component[j] < 0:
+                        col_component[j] = index
+                        tree.append((i, j))
+                        found.append(j)
+            cols += found
+            layer = []
+            for j in found:
+                for i in col_nz[j]:
+                    if row_component[i] < 0:
+                        row_component[i] = index
+                        tree.append((i, j))
+                        layer.append(i)
+            rows += layer
+        components.append((tuple(sorted(rows)), tuple(sorted(cols))))
+    # every row has been walked, so a column left is a zero column
+    components += [((), (j,)) for j, label in enumerate(col_component) if label < 0]
+    return components, row_component, tree
 
 
 def commutant_basis(gens: Sequence[Mat]) -> list[Mat]:

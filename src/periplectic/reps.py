@@ -260,7 +260,10 @@ def seed_from_json(data: object) -> Seed:
     ab = data["ab"]
     if not isinstance(ab, list) or len(ab) != k + l:
         raise CodecError(f"ab must list {k + l} values, got {_json_kind(ab)}")
-    eigenvalues = tuple(
-        _decode_at(f"ab: value {t}", gauss_from_json, x) for t, x in enumerate(ab)
-    )
+    eigenvalues = []
+    try:
+        for t, x in enumerate(ab):
+            eigenvalues.append(gauss_from_json(x))
+    except CodecError as exc:
+        raise CodecError(f"ab: value {t}: {exc}") from None
     return Seed(k, l, coupling, eigenvalues)

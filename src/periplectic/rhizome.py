@@ -105,11 +105,12 @@ def scaling_normalize(matrix: Mat) -> ScalingNormalization:
     xi: list[GaussRat | None] = [None] * k
     phi: list[GaussRat | None] = [None] * l
     xi[0] = ONE
-    tree_cols: list[set[int]] = [set() for _ in range(k)]
-    # each tree edge gauges the one endpoint that is not gauged yet to
-    # 1 / (gauged scalar * entry), taken on the (a, b, d) ints and reduced once
+    # a tree entry is 1 by construction; each tree edge gauges the one
+    # endpoint that is not gauged yet to 1 / (gauged scalar * entry), taken
+    # on the (a, b, d) ints and reduced once
+    rows: list[dict[int, GaussRat]] = [{} for _ in range(k)]
     for i, j in tree:
-        tree_cols[i].add(j)
+        rows[i][j] = ONE
         x = row_nz[i][j]
         g = phi[j] if xi[i] is None else xi[i]
         u, v = g._a * x._a - g._b * x._b, g._a * x._b + g._b * x._a
@@ -118,22 +119,17 @@ def scaling_normalize(matrix: Mat) -> ScalingNormalization:
             xi[i] = inverse
         else:
             phi[j] = inverse
-    # a tree entry is 1 by construction; every other entry is the product
-    # xi_i * phi_j * x, taken on the ints and reduced once
+    # every other entry is the product xi_i * phi_j * x, taken on the ints
+    # and reduced once
     col = [(p._a, p._b, p._d) for p in phi]
-    rows = []
-    for i, row in enumerate(row_nz):
-        in_tree = tree_cols[i]
-        sa, sb, sd = xi[i]._a, xi[i]._b, xi[i]._d
-        out = {}
+    for row, out, s in zip(row_nz, rows, xi):
+        sa, sb, sd = s._a, s._b, s._d
         for j, x in row.items():
-            if j in in_tree:
-                out[j] = ONE
+            if j in out:
                 continue
             pa, pb, pd = col[j]
             ra, rb = sa * pa - sb * pb, sa * pb + sb * pa
             out[j] = _reduce(ra * x._a - rb * x._b, ra * x._b + rb * x._a, sd * pd * x._d)
-        rows.append(out)
     return ScalingNormalization(
         tree_edges=tuple(tree),
         normalized=Mat._from_rows(rows, l),

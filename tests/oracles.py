@@ -9,15 +9,18 @@ presolve; isomorphism is decided by enumerating permutations and
 propagating scalings along the zero pattern; scaling normalization
 gauges along a given tree on Fraction pairs until no edge changes, and
 multiplies every entry out in full; zero-pattern classes and components
-come from a dense flood fill rather than the library's walk; the
-generators of a seeded module are written from their closed forms on
-Fraction pairs; and relation reports come from both sides of each relation evaluated in
-full on dense grids of Fraction pairs, rather than from generator words.
+come from a dense flood fill rather than the library's walk, and the
+walk itself is checked against a queue-driven search that scans the
+dense grid; the generators of a seeded module are written from their
+closed forms on Fraction pairs; and relation reports come from both
+sides of each relation evaluated in full on dense grids of Fraction
+pairs, rather than from generator words.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from fractions import Fraction
 from typing import Sequence
 
@@ -288,6 +291,48 @@ def oracle_zero_pattern(mat: Mat) -> tuple[
     components += [((i,), ()) for i in zero_rows] + [((), (j,)) for j in zero_cols]
     components.sort(key=lambda part: (0, part[0][0]) if part[0] else (1, part[1][0]))
     return classes, zero_rows, zero_cols, components
+
+
+def oracle_walk(grid: Sequence[Sequence[int]], cols: int) -> tuple[
+    list[tuple[tuple[int, ...], tuple[int, ...]]],
+    list[int],
+    list[tuple[int, int]],
+]:
+    """The coupling-graph walk on a dense 0/1 grid with `cols` columns: a
+    first-in first-out breadth-first search over ("row", i) and
+    ("col", j) vertices, started at each unvisited row and then at each
+    unvisited column, that scans a whole grid row or column for the
+    neighbours of a vertex, in index order.  Returns the components as
+    (sorted rows, sorted columns), each row's component index, and the
+    (row, column) edges that discovered a vertex, in visiting order."""
+    starts = [("row", i) for i in range(len(grid))] + [("col", j) for j in range(cols)]
+    label: dict[tuple[str, int], int] = {}
+    components, tree = [], []
+    for start in starts:
+        if start in label:
+            continue
+        label[start] = len(components)
+        queue = deque([start])
+        members = []
+        while queue:
+            side, v = queue.popleft()
+            members.append((side, v))
+            if side == "row":
+                near = [(("col", j), (v, j)) for j in range(cols) if grid[v][j]]
+            else:
+                near = [(("row", i), (i, v)) for i in range(len(grid)) if grid[i][v]]
+            for vertex, edge in near:
+                if vertex not in label:
+                    label[vertex] = label[start]
+                    tree.append(edge)
+                    queue.append(vertex)
+        components.append(
+            (
+                tuple(sorted(v for side, v in members if side == "row")),
+                tuple(sorted(v for side, v in members if side == "col")),
+            )
+        )
+    return components, [label[("row", i)] for i in range(len(grid))], tree
 
 
 def brute_force_isomorphic(seed1: Seed, seed2: Seed) -> bool:

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -24,13 +26,20 @@ from periplectic import (
     ShapeError,
     Violation,
     build_rep,
+    group_act,
     rep_to_json,
     seed_to_json,
 )
 from periplectic.cli import main
+from periplectic.sampling import (
+    random_monomial_pair,
+    random_regular_ab,
+    random_rhizomatic_matrix,
+)
 
 from cli_runner import run_cli
 from oracles import direct_sum, make_split_core, make_weight_block
+from test_sparse_mat import _repeating, _staircase_seed
 
 REFERENCE = Seed(
     3,
@@ -464,6 +473,34 @@ class TestClassifyCommands:
         result = run_cli(["isomorphic", "--json", seed_file, seed_file])
         assert result.exit_code == 0
         assert result.stdout == '{\n  "isomorphic": true\n}\n'
+
+    # sha256 of stdout, recorded before the coupling walk, the tree gauge,
+    # the canonical sort and the kernel's back substitution were rewritten
+    CANONICAL_K12_SHA256 = "d30279db88e67d60e6f4a3b982ed191c4ece9a16f42003d22a21f708bec30dce"
+    ENDO_STAIRCASE_K16_SHA256 = "7ec8ab1cc9feb4094a1fcc05d0ba20923d6f47fa8381d83b241dcb67622e3313"
+
+    def test_canonical_json_bytes_are_pinned(self, tmp_path):
+        # a k = l = 12 regular rhizomatic seed and its image under a
+        # monomial pair print the same bytes
+        rng = random.Random(12)
+        seed = Seed(12, 12, random_rhizomatic_matrix(rng, 12, 12), random_regular_ab(rng, 12, 12))
+        acted = group_act(random_monomial_pair(rng, 12, 12), seed)
+        for name, s in (("seed.json", seed), ("acted.json", acted)):
+            path = _write(tmp_path, name, json.dumps(seed_to_json(s)))
+            result = run_cli(["canonical", "--json", path])
+            assert result.exit_code == 0
+            assert hashlib.sha256(result.stdout.encode()).hexdigest() == self.CANONICAL_K12_SHA256
+
+    def test_endo_json_bytes_are_pinned(self, tmp_path):
+        # repeated shifts, staircase seed 2 at k = l = 16: the commutant is
+        # eliminated and read off by back substitution
+        rng = random.Random(2)
+        shifts = _repeating(rng, 16) + _repeating(rng, 16)
+        rep = build_rep(_staircase_seed(16, rng, shifts))
+        path = _write(tmp_path, "rep.json", json.dumps(rep_to_json(rep)))
+        result = run_cli(["endo", "--json", path])
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == self.ENDO_STAIRCASE_K16_SHA256
 
 
 class TestSplit:

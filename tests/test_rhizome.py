@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from periplectic import (
     CodecError,
@@ -20,9 +20,10 @@ from periplectic import (
     parse_pattern,
     scaling_normalize,
 )
+from periplectic.linalg import _walk
 from periplectic.sampling import random_matrix, random_rhizomatic_matrix
 
-from oracles import oracle_scaling_normalize, oracle_zero_pattern, pairs_to_gauss
+from oracles import oracle_scaling_normalize, oracle_walk, oracle_zero_pattern, pairs_to_gauss
 
 # Three 7x10 reference patterns exercising every failure mode: two entry
 # classes, a single class with uncovered rows and columns, and a rhizomatic
@@ -267,6 +268,27 @@ class TestAgainstFloodFill:
         assert len(tree_classes) == 1 and not tree_zero_rows and not tree_zero_cols
 
 
+@st.composite
+def zero_one_grids(draw):
+    """A k x l grid of 0 and 1, k, l in 0..8, mostly zeros, so zero rows,
+    zero columns and several components all occur."""
+    k, l = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    cell = st.sampled_from([0, 0, 0, 1])
+    return draw(st.lists(st.lists(cell, min_size=l, max_size=l), min_size=k, max_size=k)), l
+
+
+class TestWalk:
+    # k = 0, l = 0, and a pattern with a zero row and a zero column
+    @example(([], 2))
+    @example(([[], []], 0))
+    @example(([[0, 1, 0], [0, 0, 0], [1, 1, 0]], 3))
+    @given(zero_one_grids())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_queue_oracle(self, grid_and_cols):
+        grid, cols = grid_and_cols
+        assert _walk(Mat(grid, cols=cols)) == oracle_walk(grid, cols)
+
+
 class TestScalingNormalize:
     @given(sparse_patterns(GAUSSIAN_RATIONALS, connected=True))
     @settings(max_examples=300, deadline=None)
@@ -286,6 +308,17 @@ class TestScalingNormalize:
         assert result.normalized == Mat([[1, 1], [1, ratio]])
         assert result.tree_edges == ((0, 0), (0, 1), (1, 0))
         assert result.row_scalars[0] == GaussRat(1)
+
+    def test_tree_alternates_rows_and_columns(self):
+        # the walk meets row 0, columns 0 and 3, row 1, columns 1 and 2,
+        # then row 2 through column 1; (2, 2) is the one off-tree entry
+        m = Mat([[1, 0, 0, 1], [0, 1, 3, 1], [0, 1, 2, 0]])
+        result = scaling_normalize(m)
+        assert result.tree_edges == ((0, 0), (0, 3), (1, 3), (1, 1), (1, 2), (2, 1))
+        # the cycle rows 1, 2 and columns 1, 2 keeps m11 m22 / (m12 m21)
+        assert result.normalized == Mat(
+            [[1, 0, 0, 1], [0, 1, 1, 1], [0, 1, Fraction(2, 3), 0]]
+        )
 
     def test_tree_entries_become_one(self):
         rng = random.Random(44)
