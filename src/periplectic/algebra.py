@@ -26,6 +26,9 @@ one of its premises fails (over Q(i), where 2 is invertible):
   (e*s)_ij = e_ij s_jj = e_ij / w_i, and e*s = e gives w_i = 1, w_j = -1.
   So (e*(y2 - y1 - 1))_ij =
   -(w_j + 1) e_ij = 0 and ((y1 - y2 - 1)*e)_ij = (w_i - 1) e_ij = 0.
+  The premise s*s = 1 is needed from 3 x 3 on; in 2 x 2 an e-y relation
+  fails only with e != 0, and then e*s = e and s*e = -e give s the
+  eigenvalues 1 and -1, so s*s = 1.
 """
 
 from __future__ import annotations

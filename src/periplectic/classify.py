@@ -25,6 +25,7 @@ from .linalg import (
     as_gauss,
     gauss_to_json,
     mat_to_json,
+    _commutant_dim,
     commutant_basis,
     rank,
     kernel_and_pivots,
@@ -315,12 +316,12 @@ def indecomposable(seed: Seed) -> Verdict:
         witness = _repeat_witness(seed)
         reason = "repeated shifts in a one-line weight space split off invariant summands"
     else:
-        endo = endo_report(build_rep(seed))
+        dim = _commutant_dim(build_rep(seed).generators()[:3])  # endo_report's y1, y2, s
         return Verdict(
             UNKNOWN,
             "repeated shifts with both weight spaces of dimension >= 2 are outside "
-            f"the decided cases; endomorphism dimension is {endo.dimension}",
-            endo_dim=endo.dimension,
+            f"the decided cases; endomorphism dimension is {dim}",
+            endo_dim=dim,
         )
     return _decomposable(build_rep(seed), reason, *witness)
 

@@ -731,9 +731,11 @@ def _echelon(
     divided by its entry at c, is the pivot row, and every other row r
     becomes r - r[c] * pivot_row, evaluated only where r or the pivot row
     is nonzero, and waits again under its new leading column unless it is
-    zero.  So the result depends on the input order only.  The update on
-    (a, b, d) triples adds numerators when denominators are equal,
-    cross-multiplies otherwise, and reduces every entry it writes.
+    zero.  So the result depends on the input order only.  Both steps work
+    on (a, b, d) triples and reduce every entry they write once: the
+    division multiplies by r*(p - q*i)/(p^2 + q^2) for a pivot (p + q*i)/r,
+    and the update adds numerators when denominators are equal and
+    cross-multiplies otherwise.
 
     The pivot rows come out monic, by increasing pivot column.  Every entry
     met is a ratio of two minors of the input (Edmonds 1967), so entries
@@ -748,9 +750,13 @@ def _echelon(
     while waiting:
         c = min(waiting)
         head, *others = waiting.pop(c)
-        if head[c] != ONE:
-            inv = head[c].inverse()
-            head = {j: x * inv for j, x in head.items()}
+        p, q, r = head[c]._a, head[c]._b, head[c]._d
+        if p != 1 or q or r != 1:
+            p, q, r = r * p, -r * q, p * p + q * q
+            head = {
+                j: _reduce(x._a * p - x._b * q, x._a * q + x._b * p, x._d * r)
+                for j, x in head.items()
+            }
         ech.append(head)
         pivots.append(c)
         rest = [(j, y._a, y._b, y._d) for j, y in head.items() if j != c]
@@ -886,34 +892,24 @@ def _walk(
     return components, row_component, tree
 
 
-def commutant_basis(gens: Sequence[Mat]) -> list[Mat]:
-    """Basis of the algebra of matrices commuting with every generator.
+def _diagonal(g: Mat) -> list[tuple[int, int, int]]:
+    return [(x._a, x._b, x._d) for x in (row.get(i, ZERO) for i, row in enumerate(g.nonzero))]
 
-    Diagonal generators are handled by constraint propagation (the commutator
-    with diag(d) kills entry (i, j) unless d_i = d_j), so the linear system
-    that reaches the elimination only carries the surviving unknowns,
-    numbered in row-major order.  Each other generator g contributes the
-    entries (p, q) of X*g - g*X, in row-major order: the unknown X[i][j]
-    meets g[j][q] in entry (i, q) and -g[p][i] in entry (p, j), so the
-    equations are assembled per unknown from the stored rows of g and of
-    its transpose.  Equations with no nonzero coefficient are dropped.
 
-    The basis depends on the row space only (see `kernel_and_pivots`), and
-    the elimination keeps every entry a ratio of minors of this system, so
-    neither the order nor the scaling of the equations is needed to keep
-    entries small.
+def _commutant_system(gens: Sequence[Mat]) -> tuple[int, list[tuple[int, int]], Mat]:
+    """(n, unknowns, equations) of the commutant of n x n generators.
 
-    When every class of equal diagonal entries is a single index, as for
-    regular shifts, no system is built: the unknowns are the diagonal
-    entries x_i, each equation is g[p][q] * (x_p - x_q), and the kernel is
-    read off the graph on range(n) with an edge p - q wherever some
-    non-diagonal generator has g[p][q] != 0.  One diagonal 0/1 matrix per
-    connected component, ordered by the component's largest index, is
-    exactly what the elimination returns: a column of this incidence
-    system depends on the earlier ones only when it is the last of its
-    component, so each component's largest index is its one free column,
-    and the kernel vector that is 1 there is the component's indicator.
-    The result always contains the identity direction.
+    A diagonal generator diag(d) kills unknown X[i][j] unless d_i = d_j, so
+    only unknowns inside a class of equal diagonal entries (keyed on integer
+    triples) are kept, in row-major order.  Each other generator g gives the
+    entries (p, q) of X*g - g*X, in row-major order: X[i][j] meets g[j][q]
+    in entry (i, q) for q != j, -g[p][i] in entry (p, j) for p != i, and
+    g[j][j] - g[i][i], once and unless zero, in entry (i, j).
+
+    When every class is a single index, as for regular shifts, each
+    equation is g[p][q] * (x_p - x_q) on the diagonal unknowns x_i, and the
+    matrix returned is instead the pattern of the identity plus the other
+    generators, whose `_walk` components span the kernel.
     """
     mats = list(gens)
     if not mats:
@@ -922,65 +918,84 @@ def commutant_basis(gens: Sequence[Mat]) -> list[Mat]:
     for g in mats:
         if not (g.is_square() and g.rows == n):
             raise ShapeError("generators must be square matrices of equal size")
-    if n == 0:
-        return []
-
     # the diagonal of each diagonal generator, and the other generators
-    diagonals: list[list[GaussRat]] = []
+    diagonals: list[list[tuple[int, int, int]]] = []
     others: list[Mat] = []
     for g in mats:
         if g.is_diagonal():
-            diagonals.append([row.get(i, ZERO) for i, row in enumerate(g.nonzero)])
+            diagonals.append(_diagonal(g))
         else:
             others.append(g)
     # X[i][j] is free when i and j have the same entry in every diagonal
     # generator; with no diagonal generator every key is ()
-    keys = list(zip(*diagonals)) if diagonals else [()] * n
-    classes: dict[tuple[GaussRat, ...], list[int]] = {}
-    for i, key in enumerate(keys):
-        classes.setdefault(key, []).append(i)
-    positions = [(i, j) for i in range(n) for j in classes[keys[i]]]
-
+    classes: dict[tuple, list[int]] = {}
+    keys = zip(*diagonals) if diagonals else [()] * n
+    class_of = [classes.setdefault(key, []) for key in keys]
+    for i, members in enumerate(class_of):
+        members.append(i)
+    positions = [(i, j) for i in range(n) for j in class_of[i]]
     if len(positions) == n:
-        # the read-off above, by `_walk` over the stored entries of the other
-        # generators plus the identity: the identity joins row i to column
-        # i, so the rows of each walk component are one component on range(n)
         pattern = [{i: ONE} for i in range(n)]
         for g in others:
             for row, stored in zip(pattern, g.nonzero):
                 row.update(stored)
-        out = []
-        for members, _ in sorted(_walk(Mat._from_rows(pattern, n))[0], key=lambda c: c[0][-1]):
+        return n, positions, Mat._from_rows(pattern, n)
+
+    rows: list[dict[int, GaussRat]] = []
+    for g in others:
+        diag = _diagonal(g)
+        g_rows = [{q: x for q, x in row.items() if q != i} for i, row in enumerate(g.nonzero)]
+        g_cols = [
+            {p: -x for p, x in col.items() if p != i}
+            for i, col in enumerate(g.transpose().nonzero)
+        ]
+        eqs: dict[tuple[int, int], dict[int, GaussRat]] = {}
+        for t, (i, j) in enumerate(positions):
+            if diag[i] != diag[j]:
+                (a, b, d), (c, e, f) = diag[j], diag[i]
+                eqs.setdefault((i, j), {})[t] = _reduce(a * f - c * d, b * f - e * d, d * f)
+            for q, x in g_rows[j].items():
+                eqs.setdefault((i, q), {})[t] = x
+            for p, x in g_cols[i].items():
+                eqs.setdefault((p, j), {})[t] = x
+        rows += [eqs[pos] for pos in sorted(eqs)]
+    return n, positions, Mat._from_rows(rows, len(positions))
+
+
+def commutant_basis(gens: Sequence[Mat]) -> list[Mat]:
+    """Basis of the algebra of matrices commuting with every generator: one
+    `Mat` per kernel vector of the `_commutant_system` equations.
+
+    The basis depends on the row space only (see `kernel_and_pivots`), and
+    the elimination keeps every entry a ratio of minors of this system, so
+    neither the order nor the scaling of the equations is needed to keep
+    entries small.  On the read-off branch no elimination runs: one
+    diagonal 0/1 matrix per `_walk` component, ordered by the component's
+    largest index, is exactly what the elimination returns, since a column
+    of the incidence system depends on the earlier ones only when it is
+    the last of its component, and the kernel vector that is 1 there is
+    the component's indicator.  The result always contains the identity.
+    """
+    n, positions, system = _commutant_system(gens)
+    out = []
+    if len(positions) == n:
+        for members, _ in sorted(_walk(system)[0], key=lambda c: c[0][-1]):
             grid = [{} for _ in range(n)]
             for i in members:
                 grid[i] = {i: ONE}
             out.append(Mat._from_rows(grid, n))
         return out
-
-    rows: list[dict[int, GaussRat]] = []
-    for g in others:
-        g_rows, g_cols = g.nonzero, g.transpose().nonzero
-        eqs: dict[tuple[int, int], dict[int, GaussRat]] = {}
-        for t, (i, j) in enumerate(positions):
-            for q, x in g_rows[j].items():
-                eq = eqs.setdefault((i, q), {})
-                v = eq.get(t)
-                eq[t] = x if v is None else v + x
-            for p, x in g_cols[i].items():
-                eq = eqs.setdefault((p, j), {})
-                v = eq.get(t)
-                eq[t] = -x if v is None else v - x
-        for pos in sorted(eqs):
-            eq = {t: x for t, x in eqs[pos].items() if x}
-            if eq:
-                rows.append(eq)
-
-    vectors = kernel_basis(Mat._from_rows(rows, len(positions)))
-    out = []
-    for v in vectors:
+    for v in kernel_basis(system):
         grid: list[dict[int, GaussRat]] = [{} for _ in range(n)]
         for (i, j), x in zip(positions, v):
             if x:
                 grid[i][j] = x
         out.append(Mat._from_rows(grid, n))
     return out
+
+
+def _commutant_dim(gens: Sequence[Mat]) -> int:
+    """len(commutant_basis(gens)) with no kernel vector built: the number of
+    unknowns minus one rank, or the read-off's component count."""
+    n, positions, system = _commutant_system(gens)
+    return len(_walk(system)[0]) if len(positions) == n else len(positions) - rank(system)

@@ -159,6 +159,23 @@ class TestReportsMatchOracle:
             assert verify_periplectic(rep).passed
             _assert_reports_match_oracle(rep)
 
+    def test_s_squared_premise_is_needed(self):
+        # calibrated, with s*y1, e*s = e and s*e = -e holding: s*s = 1 fails
+        # and so does an e-y relation, which is evaluated, not derived
+        rep = Rep(
+            2,
+            1,
+            Mat.diagonal([0, -1, 1]),
+            Mat.diagonal([-1, 0, 2]),
+            Mat([[-1, 0, -1], [-1, 1, -1], [0, 0, 1]]),
+            Mat([[0, 0, 2], [0, 0, 1], [0, 0, 0]]),
+        )
+        assert rep.is_calibrated
+        _assert_reports_match_oracle(rep)
+        assert [v.relation for v in verify_periplectic(rep).violations] == [
+            "s*s = 1", "s*y2 = y1*s + 1 - e", "y1*e = y2*e + e",
+        ]
+
     @pytest.mark.parametrize(
         "name, off_diagonal",
         [("y1", False), ("y1", True), ("y2", False), ("s", False), ("e", False)],

@@ -36,8 +36,13 @@ from periplectic import (
     verdict_to_json,
     verify_periplectic,
 )
-from periplectic import classify
-from periplectic.sampling import random_monomial_pair, random_seed
+from periplectic import classify, linalg
+from periplectic.sampling import (
+    random_gauss,
+    random_monomial_pair,
+    random_rhizomatic_matrix,
+    random_seed,
+)
 
 from oracles import (
     brute_force_isomorphic,
@@ -296,6 +301,40 @@ class TestIndecomposable:
             list(build_rep(seed).generators())
         )
         assert "5" in verdict.reason
+
+    def test_undecided_builds_no_kernel(self, monkeypatch):
+        """The undecided verdict reads dim End off one rank: no kernel
+        vector is built, while endo_report on the same module builds them."""
+        shapes = []
+        original = linalg.kernel_and_pivots
+
+        def counted(mat):
+            shapes.append(mat.shape)
+            return original(mat)
+
+        monkeypatch.setattr(linalg, "kernel_and_pivots", counted)
+        monkeypatch.setattr(classify, "kernel_and_pivots", counted)
+        seed = Seed(2, 2, Mat([[1, 1], [1, 1]]), (q(1), q(1), q(0), q(0)))
+        assert indecomposable(seed).endo_dim == 5
+        assert shapes == []
+        assert endo_report(build_rep(seed)).dimension == 5
+        assert shapes
+
+    def test_undecided_dimension_matches_basis_and_oracle(self):
+        # repeated shifts on both sides (fewer values than coordinates) and
+        # a rhizomatic coupling: every seed is undecided
+        rng = random.Random(58)
+        for _ in range(150):
+            k, l = rng.randint(2, 5), rng.randint(2, 5)
+            a = [random_gauss(rng) for _ in range(rng.randint(1, k - 1))]
+            b = [random_gauss(rng) for _ in range(rng.randint(1, l - 1))]
+            shifts = [rng.choice(a) for _ in range(k)] + [rng.choice(b) for _ in range(l)]
+            seed = Seed(k, l, random_rhizomatic_matrix(rng, k, l), tuple(shifts))
+            verdict = indecomposable(seed)
+            assert verdict.value == UNKNOWN
+            rep = build_rep(seed)
+            assert verdict.endo_dim == endo_report(rep).dimension
+            assert verdict.endo_dim == oracle_commutant_dim([rep.y1, rep.y2, rep.s])
 
     def test_random_regular_rhizomatic_is_indecomposable(self):
         rng = random.Random(56)

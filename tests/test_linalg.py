@@ -25,7 +25,7 @@ from periplectic import (
     mat_to_json,
     rank,
 )
-from periplectic.linalg import kernel_and_pivots, row_basis
+from periplectic.linalg import _commutant_dim, kernel_and_pivots, row_basis
 from periplectic.sampling import random_matrix
 
 from oracles import (
@@ -471,9 +471,14 @@ class TestCommutant:
                 isolated += 1
             gens = others + self._diagonals(rng, n, kind)
             rng.shuffle(gens)
-            flat = [tuple(x for row in b.entries for x in row) for b in commutant_basis(gens)]
+            basis = commutant_basis(gens)
+            flat = [tuple(x for row in b.entries for x in row) for b in basis]
             assert flat == oracle_commutant_basis(gens), (kind, [g.entries for g in gens])
+            # the dimension path solves the same system by one rank
+            assert _commutant_dim(gens) == len(basis), (kind, [g.entries for g in gens])
         assert isolated >= 100
+        for gens in ([Mat.zero(0, 0)], [Mat.zero(0, 0), Mat.identity(0)]):
+            assert _commutant_dim(gens) == len(commutant_basis(gens)) == 0
 
     def test_basis_does_not_depend_on_generator_order(self):
         # diagonal generators first, last and interleaved with the others
