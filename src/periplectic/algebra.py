@@ -63,6 +63,13 @@ __all__ = [
 ]
 
 
+def _check_sizes(k: object, l: object, error: type[Exception] = ShapeError) -> None:
+    """Raise `error` unless k and l are non-negative ints."""
+    # a bool, such as a JSON true, would pass as an int
+    if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in (k, l)):
+        raise error("k and l must be non-negative integers")
+
+
 class Rep(Record):
     """Matrices for the four generators, acting on a (k+l)-dimensional space.
 
@@ -81,8 +88,7 @@ class Rep(Record):
     e: Mat
 
     def __post_init__(self) -> None:
-        if self.k < 0 or self.l < 0:
-            raise ShapeError("k and l must be non-negative")
+        _check_sizes(self.k, self.l)
         n = self.k + self.l
         for name in ("y1", "y2", "s", "e"):
             m: Mat = getattr(self, name)
@@ -251,9 +257,7 @@ def _sizes_from_json(data: object, keys: set[str], noun: str) -> tuple[int, int]
     if missing:
         raise CodecError(f"{noun} object lacks keys {sorted(missing)}")
     k, l = data["k"], data["l"]
-    # a JSON true or false would pass as an int
-    if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in (k, l)):
-        raise CodecError("k and l must be non-negative integers")
+    _check_sizes(k, l, CodecError)
     return k, l
 
 

@@ -87,7 +87,8 @@ class MonomialPair(Record):
             (self.sigma, self.xi, "row"),
             (self.tau, self.phi, "column"),
         ):
-            if sorted(perm) != list(range(len(perm))):
+            # float entries would sort like ints, then fail as tuple indices
+            if not all(isinstance(v, int) for v in perm) or sorted(perm) != [*range(len(perm))]:
                 raise ValueError(f"{name} permutation {perm} is not a permutation")
             if len(scalars) != len(perm):
                 raise ValueError(f"{name} scalars do not match the permutation size")

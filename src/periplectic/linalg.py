@@ -112,8 +112,6 @@ class GaussRat:
                 return NotImplemented
         a, b, d = self._a, self._b, self._d
         c, e, f = other._a, other._b, other._d
-        if d == f:
-            return _reduce(a + c, b + e, d)
         return _reduce(a * f + c * d, b * f + e * d, d * f)
 
     __radd__ = __add__
@@ -123,11 +121,7 @@ class GaussRat:
             other = _coerce(other)
             if other is None:
                 return NotImplemented
-        a, b, d = self._a, self._b, self._d
-        c, e, f = other._a, other._b, other._d
-        if d == f:
-            return _reduce(a - c, b - e, d)
-        return _reduce(a * f - c * d, b * f - e * d, d * f)
+        return self + -other
 
     def __rsub__(self, other: object) -> "GaussRat":
         o = _coerce(other)
@@ -136,19 +130,12 @@ class GaussRat:
         return o - self
 
     def __mul__(self, other: object) -> "GaussRat":
-        """Product.  A factor of exactly +-1 yields the other operand itself,
-        or its negation, with no gcd; sharing is safe, as GaussRat is
-        immutable."""
         if other.__class__ is not GaussRat:
             other = _coerce(other)
             if other is None:
                 return NotImplemented
         a, b, d = self._a, self._b, self._d
         c, e, f = other._a, other._b, other._d
-        if f == 1 and not e and (c == 1 or c == -1):
-            return self if c == 1 else _make(-a, -b, d)
-        if d == 1 and not b and (a == 1 or a == -1):
-            return other if a == 1 else _make(-c, -e, f)
         return _reduce(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
@@ -161,21 +148,11 @@ class GaussRat:
         return _reduce(a * d, -b * d, norm)
 
     def __truediv__(self, other: object) -> "GaussRat":
-        """Quotient.  A divisor of exactly +-1 yields self or its negation,
-        with no gcd."""
         if other.__class__ is not GaussRat:
             other = _coerce(other)
             if other is None:
                 return NotImplemented
-        a, b, d = self._a, self._b, self._d
-        c, e, f = other._a, other._b, other._d
-        if f == 1 and not e and (c == 1 or c == -1):
-            return self if c == 1 else _make(-a, -b, d)
-        norm = c * c + e * e
-        if not norm:
-            raise ZeroDivisionError("division by zero in Q(i)")
-        # (a + b*i)/d divided by (c + e*i)/f is f*(a + b*i)*(c - e*i) / (d*norm)
-        return _reduce((a * c + b * e) * f, (b * c - a * e) * f, d * norm)
+        return self * other.inverse()
 
     def __rtruediv__(self, other: object) -> "GaussRat":
         o = _coerce(other)

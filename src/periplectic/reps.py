@@ -9,7 +9,7 @@ nonzero shift pattern switches on the extra generator e.
 
 from __future__ import annotations
 
-from .algebra import Rep, _sizes_from_json
+from .algebra import Rep, _check_sizes, _sizes_from_json
 from .errors import CodecError, PreconditionError, ShapeError
 from .linalg import (
     GaussRat,
@@ -58,8 +58,7 @@ class Seed(Record):
     eigenvalues: tuple[GaussRat, ...]
 
     def __post_init__(self) -> None:
-        if self.k < 0 or self.l < 0:
-            raise ShapeError("k and l must be non-negative")
+        _check_sizes(self.k, self.l)
         if self.coupling.shape != (self.k, self.l):
             raise ShapeError(
                 f"coupling must be {self.k}x{self.l}, got {self.coupling.shape}"
@@ -86,50 +85,29 @@ class Seed(Record):
 def build_one_dim(a: object, sign: str) -> Rep:
     """One-dimensional module: y1 = a, s = sign, e = 0, y2 = a -+ 1.
 
-    sign "+" gives y2 = a + 1 on a (-1)-weight line; sign "-" gives
-    y2 = a - 1 on a (+1)-weight line.
+    sign "+" gives y2 = a + 1 on a (-1)-weight line, the module of the
+    seed (0, 1) with shift a + 1; sign "-" gives y2 = a - 1 on a
+    (+1)-weight line, the module of the seed (1, 0) with shift a.
     """
     value = as_gauss(a)
     if sign == "+":
-        k, l = 0, 1
-        s_val, y2_val = ONE, value + ONE
-    elif sign == "-":
-        k, l = 1, 0
-        s_val, y2_val = _MINUS_ONE, value - ONE
-    else:
-        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    return Rep(
-        k,
-        l,
-        y1=Mat.diagonal([value]),
-        y2=Mat.diagonal([y2_val]),
-        s=Mat.diagonal([s_val]),
-        e=Mat.zero(1, 1),
-    )
+        return build_rep(Seed(0, 1, Mat.zero(0, 1), (value + ONE,)))
+    if sign == "-":
+        return build_rep(Seed(1, 0, Mat.zero(1, 0), (value,)))
+    raise ValueError(f"sign must be '+' or '-', got {sign!r}")
 
 
 def build_hecke_module(k: int, l: int, coupling: Mat) -> Rep:
-    """Pulled-back Hecke module: y1 = diag(0,..,-1,..), upper-triangular s, e = 0."""
-    if coupling.shape != (k, l):
-        raise ShapeError(f"coupling must be {k}x{l}, got {coupling.shape}")
-    y1 = Mat.diagonal([ZERO] * k + [_MINUS_ONE] * l)
-    y2 = Mat.diagonal([_MINUS_ONE] * k + [ZERO] * l)
-    return Rep(k, l, y1=y1, y2=y2, s=_hecke_s(k, l, coupling), e=Mat.zero(k + l, k + l))
-
-
-def _hecke_s(k: int, l: int, coupling: Mat) -> Mat:
-    """s = [[-1, S], [0, 1]] for the k x l coupling S, one row per stored row of S."""
-    top = [
-        {i: _MINUS_ONE, **{k + j: x for j, x in row.items()}}
-        for i, row in enumerate(coupling.nonzero)
-    ]
-    return Mat._from_rows(top + [{k + r: ONE} for r in range(l)], k + l)
+    """Pulled-back Hecke module: y1 = diag(0,..,-1,..), upper-triangular s,
+    e = 0; the module of the seed with every shift 0."""
+    _check_sizes(k, l)  # before k + l sizes the shifts
+    return build_rep(Seed(k, l, coupling, (ZERO,) * (k + l)))
 
 
 def build_rep(seed: Seed) -> Rep:
     """The Hecke module shifted to y1 = diag(a, b - 1) and y2 = diag(a - 1, b),
-    with e zero outside the upper-right k x l corner, where
-    e[i][k + j] = (a_i - b_j) * S_ij for the coupling S.
+    with s = [[-1, S], [0, 1]] and e zero outside the upper-right k x l
+    corner, where e[i][k + j] = (a_i - b_j) * S_ij for the coupling S.
 
     y1, y2 and e are written from the integer triples (a, b, d) of the
     shifts and the coupling.  x - 1 is (a - d, b, d), already normalised
@@ -146,8 +124,9 @@ def build_rep(seed: Seed) -> Rep:
         return Mat._from_rows([{t: x} if x else {} for t, x in enumerate(values)], n)
 
     shifts = [(x._a, x._b, x._d) for x in seed.b]
-    top = []
-    for x, row in zip(seed.a, seed.coupling.nonzero):
+    s_top, top = [], []
+    for i, (x, row) in enumerate(zip(seed.a, seed.coupling.nonzero)):
+        s_top.append({i: _MINUS_ONE, **{k + j: z for j, z in row.items()}})
         p, q, r = x._a, x._b, x._d
         out = {}
         for j, z in row.items():
@@ -165,7 +144,7 @@ def build_rep(seed: Seed) -> Rep:
         l,
         y1=diagonal([*seed.a, *lowered[k:]]),
         y2=diagonal([*lowered[:k], *seed.b]),
-        s=_hecke_s(k, l, seed.coupling),
+        s=Mat._from_rows(s_top + [{k + t: ONE} for t in range(l)], n),
         e=Mat._from_rows(top + [{}] * l, n),
     )
 

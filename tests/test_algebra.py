@@ -447,6 +447,12 @@ class TestRepValidation:
         with pytest.raises(ShapeError):
             Rep(-1, 2, Mat.identity(1), Mat.identity(1), Mat.identity(1), Mat.identity(1))
 
+    def test_sizes_must_be_ints(self):
+        # 2.0 + 1 == 3 matches the 3 x 3 generators; only the size check catches it
+        for k, l in ((2.0, 1), (2, 1.0), (True, 2), (2, True)):
+            with pytest.raises(ShapeError, match="k and l must be non-negative integers"):
+                Rep(k, l, *[Mat.identity(3)] * 4)
+
     def test_wrong_matrix_size(self):
         with pytest.raises(ShapeError):
             Rep(1, 1, Mat.identity(3), Mat.identity(2), Mat.identity(2), Mat.identity(2))

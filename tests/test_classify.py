@@ -92,6 +92,13 @@ class TestMonomialPair:
         with pytest.raises(ValueError, match="nonzero"):
             MonomialPair((0,), (q(0),), (0,), (q(1),))
 
+    def test_permutation_entries_must_be_ints(self):
+        # sorted((0.0, 1.0)) == [0, 1], so only the type check catches floats
+        with pytest.raises(ValueError, match="row permutation .* is not a permutation"):
+            MonomialPair((0.0, 1.0), (1, 1), (0,), (1,))
+        with pytest.raises(ValueError, match="column permutation .* is not a permutation"):
+            MonomialPair((0, 1), (1, 1), ("0",), (1,))
+
     def test_matrix_placement(self):
         g = MonomialPair((1, 0), (q(2), q(3)), (0,), (q(5),))
         assert g.x1_matrix() == Mat([[0, 2], [3, 0]])

@@ -81,6 +81,8 @@ class TestHeckeModule:
     def test_shape_guard(self):
         with pytest.raises(ShapeError):
             build_hecke_module(2, 1, Mat([[1, 2]]))
+        with pytest.raises(ShapeError, match="k and l must be non-negative integers"):
+            build_hecke_module(2.0, 1, Mat([[1], [2]]))
 
 
 class TestBuildRep:
@@ -143,10 +145,7 @@ class TestBuildRep:
                 for _ in range(k + l)
             )
             seed = Seed(k, l, coupling, ab)
-            expected = oracle_build_rep(seed)
-            for name, m in zip(("y1", "y2", "s", "e"), build_rep(seed).generators()):
-                assert [[to_pair(x) for x in row] for row in m.entries] == expected[name], (name, seed)
-                assert all(x for row in m.nonzero for x in row.values()), (name, seed)
+            self._assert_matches_oracle(build_rep(seed), seed)
             seen["gaussian shift"] += any(x.im for x in ab)
             seen["a_i = b_j on a coupled pair"] += any(
                 seed.a[i] == seed.b[j] for i, row in enumerate(coupling.nonzero) for j in row
@@ -157,6 +156,28 @@ class TestBuildRep:
             )
             seen["k = 0 or l = 0"] += not (k and l)
         assert len(seen) == 5 and min(seen.values()) >= 20, seen
+        # the Hecke modules (every shift 0) and the one-dimensional modules
+        # (k + l = 1) are seeds too, and their builders answer to the oracle
+        for k in range(4):
+            for l in range(4):
+                coupling = random_matrix(rng, k, l, density=0.6)
+                seed = Seed(k, l, coupling, (GaussRat(0),) * (k + l))
+                self._assert_matches_oracle(build_rep(seed), seed)
+                self._assert_matches_oracle(build_hecke_module(k, l, coupling), seed)
+        for x in self.POOL + (random_gauss(rng),):
+            minus = Seed(1, 0, Mat.zero(1, 0), (x,))
+            plus = Seed(0, 1, Mat.zero(0, 1), (x + GaussRat(1),))
+            for sign, seed in (("-", minus), ("+", plus)):
+                self._assert_matches_oracle(build_rep(seed), seed)
+                self._assert_matches_oracle(build_one_dim(x, sign), seed)
+
+    @staticmethod
+    def _assert_matches_oracle(rep: Rep, seed: Seed) -> None:
+        expected = oracle_build_rep(seed)
+        assert (rep.k, rep.l) == (seed.k, seed.l), seed
+        for name, m in zip(("y1", "y2", "s", "e"), rep.generators()):
+            assert [[to_pair(x) for x in row] for row in m.entries] == expected[name], (name, seed)
+            assert all(x for row in m.nonzero for x in row.values()), (name, seed)
 
 
 class TestSeed:
@@ -171,6 +192,10 @@ class TestSeed:
             Seed(1, 1, Mat([[1]]), (GaussRat(0),))
         with pytest.raises(ShapeError):
             Seed(-1, 1, Mat([], cols=1), (GaussRat(0),))
+        # sizes must be ints: 2.0 == 2, so only the size check catches them
+        for k, l in ((2.0, 1), (2, 1.0), (True, 1), (2, True)):
+            with pytest.raises(ShapeError, match="k and l must be non-negative integers"):
+                Seed(k, l, Mat([[1], [2]]), (1, 2, 3))
 
     def test_eigenvalues_coerced(self):
         seed = Seed(1, 1, Mat([[1]]), ("1/2", 3))
