@@ -87,8 +87,9 @@ class MonomialPair(Record):
             (self.sigma, self.xi, "row"),
             (self.tau, self.phi, "column"),
         ):
-            # float entries would sort like ints, then fail as tuple indices
-            if not all(isinstance(v, int) for v in perm) or sorted(perm) != [*range(len(perm))]:
+            # float and bool entries sort like ints; floats then fail as
+            # tuple indices, and bools pass for 0 and 1
+            if not all(type(v) is int for v in perm) or sorted(perm) != [*range(len(perm))]:
                 raise ValueError(f"{name} permutation {perm} is not a permutation")
             if len(scalars) != len(perm):
                 raise ValueError(f"{name} scalars do not match the permutation size")
@@ -111,19 +112,12 @@ class MonomialPair(Record):
         phi_inv = tuple(self.phi[tau_inv[m]].inverse() for m in range(l))
         return MonomialPair(tuple(sigma_inv), xi_inv, tuple(tau_inv), phi_inv)
 
-    def x1_matrix(self) -> Mat:
-        return Mat._from_rows([{c: x} for c, x in zip(self.sigma, self.xi)], len(self.sigma))
-
-    def x2_matrix(self) -> Mat:
-        return Mat._from_rows([{c: x} for c, x in zip(self.tau, self.phi)], len(self.tau))
-
-    def block_matrix(self) -> Mat:
-        return Mat.block_diag([self.x1_matrix(), self.x2_matrix()])
-
 
 def group_act(g: MonomialPair, seed: Seed) -> Seed:
     """Act on a seed so that building the new seed equals conjugating the
-    built matrices by g.block_matrix()."""
+    built matrices by the block-diagonal monomial matrix of g: with X that
+    matrix, each generator M of the seed's module and M' of the new one
+    satisfy M' X = X M."""
     k, l = seed.k, seed.l
     if len(g.sigma) != k or len(g.tau) != l:
         raise ShapeError(

@@ -99,9 +99,6 @@ class GaussRat:
         d, f = self._d, other._d
         return (self._a * f, self._b * f) < (other._a * d, other._b * d)
 
-    def conjugate(self) -> "GaussRat":
-        return _make(self._a, -self._b, self._d)
-
     def __neg__(self) -> "GaussRat":
         return _make(-self._a, -self._b, self._d)
 
@@ -159,20 +156,6 @@ class GaussRat:
         if o is None:
             return NotImplemented
         return o / self
-
-    def __pow__(self, exponent: int) -> "GaussRat":
-        if not isinstance(exponent, int):
-            return NotImplemented
-        base = self if exponent >= 0 else self.inverse()
-        out = ONE
-        n = abs(exponent)
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
 
     def __repr__(self) -> str:
         return f"GaussRat(re={self.re!r}, im={self.im!r})"
@@ -417,45 +400,6 @@ class Mat:
         vals = [as_gauss(v) for v in values]
         return cls._from_rows([{i: x} if x else {} for i, x in enumerate(vals)], len(vals))
 
-    @classmethod
-    def block(cls, grid: Sequence[Sequence["Mat"]]) -> "Mat":
-        if not grid or not grid[0]:
-            raise ShapeError("block grid must be non-empty")
-        heights = [row[0].rows for row in grid]
-        widths = [blk.cols for blk in grid[0]]
-        for i, row in enumerate(grid):
-            if len(row) != len(widths):
-                raise ShapeError("ragged block grid")
-            for j, blk in enumerate(row):
-                if blk.rows != heights[i] or blk.cols != widths[j]:
-                    raise ShapeError(
-                        f"block ({i},{j}) is {blk.rows}x{blk.cols}, "
-                        f"expected {heights[i]}x{widths[j]}"
-                    )
-        offsets = [sum(widths[:j]) for j in range(len(widths))]
-        out = []
-        for i, row in enumerate(grid):
-            for r in range(heights[i]):
-                out.append(
-                    {
-                        off + j: x
-                        for blk, off in zip(row, offsets)
-                        for j, x in blk.nonzero[r].items()
-                    }
-                )
-        return cls._from_rows(out, sum(widths))
-
-    @classmethod
-    def block_diag(cls, blocks: Sequence["Mat"]) -> "Mat":
-        grid = [
-            [
-                blk if i == j else cls.zero(blocks[i].rows, blocks[j].cols)
-                for j in range(len(blocks))
-            ]
-            for i, blk in enumerate(blocks)
-        ]
-        return cls.block(grid)
-
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
@@ -534,12 +478,6 @@ class Mat:
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
         return Mat._from_words([(1, self, other)], self.rows, other.cols)
-
-    def apply(self, vector: Sequence[GaussRat]) -> tuple[GaussRat, ...]:
-        """Matrix-vector product, as the product with a one-column Mat."""
-        if len(vector) != self.cols:
-            raise ShapeError(f"vector of length {len(vector)} against {self.shape}")
-        return self._matmul(Mat([[x] for x in vector], cols=1)).column(0)
 
     def transpose(self) -> "Mat":
         out: list[dict[int, GaussRat]] = [{} for _ in range(self.cols)]

@@ -12,7 +12,9 @@ multiplies every entry out in full; zero-pattern classes and components
 come from a dense flood fill rather than the library's walk, and the
 walk itself is checked against a queue-driven search that scans the
 dense grid; the generators of a seeded module are written from their
-closed forms on Fraction pairs; and relation reports come from both
+closed forms on Fraction pairs, and a monomial change of basis as its
+dense block-diagonal grid; direct sums and split cores are assembled
+on dense grids; and relation reports come from both
 sides of each relation evaluated in full on dense grids of Fraction
 pairs, rather than from generator words.
 """
@@ -24,7 +26,7 @@ from collections import deque
 from fractions import Fraction
 from typing import Sequence
 
-from periplectic import GaussRat, Mat, ONE, Rep, Seed, ZERO
+from periplectic import GaussRat, Mat, MonomialPair, ONE, Rep, Seed, ZERO
 
 Vector = tuple[GaussRat, ...]
 Pair = tuple[Fraction, Fraction]
@@ -386,14 +388,24 @@ def make_weight_block(alpha: GaussRat, d: GaussRat, c: GaussRat) -> Rep:
     )
 
 
+def _block_diagonal(blocks: Sequence[Mat]) -> Mat:
+    """The square blocks down the diagonal of one dense grid."""
+    n = sum(m.cols for m in blocks)
+    grid: list[list[GaussRat]] = []
+    for m in blocks:
+        left = len(grid)
+        grid += [[ZERO] * left + list(row) + [ZERO] * (n - left - m.cols) for row in m.entries]
+    return Mat(grid, cols=n)
+
+
 def direct_sum(reps: Sequence[Rep]) -> Rep:
     return Rep(
         sum(r.k for r in reps),
         sum(r.l for r in reps),
-        y1=Mat.block_diag([r.y1 for r in reps]),
-        y2=Mat.block_diag([r.y2 for r in reps]),
-        s=Mat.block_diag([r.s for r in reps]),
-        e=Mat.block_diag([r.e for r in reps]),
+        y1=_block_diagonal([r.y1 for r in reps]),
+        y2=_block_diagonal([r.y2 for r in reps]),
+        s=_block_diagonal([r.s for r in reps]),
+        e=_block_diagonal([r.e for r in reps]),
     )
 
 
@@ -414,39 +426,25 @@ def make_split_core(
     l = len(b_free) + coupling_down.rows
     a = list(a_free) + [shared] * coupling_down.cols
     b = list(b_free) + [shared] * coupling_down.rows
-    upper = Mat(
-        [
-            [
-                coupling_up[i, j] if i < len(a_free) and j < len(b_free) else ZERO
-                for j in range(l)
-            ]
-            for i in range(k)
-        ],
-        cols=l,
-    )
-    lower = Mat(
-        [
-            [
-                coupling_down[j - len(b_free), i - len(a_free)]
-                if j >= len(b_free) and i >= len(a_free)
-                else ZERO
-                for i in range(k)
-            ]
-            for j in range(l)
-        ],
-        cols=k,
-    )
-    e_block = Mat(
-        [[(a[i] - b[j]) * upper[i, j] for j in range(l)] for i in range(k)],
-        cols=l,
-    )
+    n = k + l
+    s = [[ZERO] * n for _ in range(n)]
+    e = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        s[i][i] = -ONE if i < k else ONE
+    for i in range(len(a_free)):
+        for j in range(len(b_free)):
+            s[i][k + j] = coupling_up[i, j]
+            e[i][k + j] = (a[i] - b[j]) * coupling_up[i, j]
+    for j in range(coupling_down.rows):
+        for i in range(coupling_down.cols):
+            s[k + len(b_free) + j][len(a_free) + i] = coupling_down[j, i]
     return Rep(
         k,
         l,
         y1=Mat.diagonal(a + [x - ONE for x in b]),
         y2=Mat.diagonal([x - ONE for x in a] + b),
-        s=Mat.block([[Mat.identity(k).scale(GaussRat(-1)), upper], [lower, Mat.identity(l)]]),
-        e=Mat.block([[Mat.zero(k, k), e_block], [Mat.zero(l, k), Mat.zero(l, l)]]),
+        s=Mat(s, cols=n),
+        e=Mat(e, cols=n),
     )
 
 
@@ -467,11 +465,15 @@ def pair_diagonal(values: Sequence[Pair]) -> PairGrid:
     return out
 
 
-def pair_block(grid: Sequence[Sequence[PairGrid]]) -> PairGrid:
-    out = []
-    for row in grid:
-        for r in range(len(row[0])):
-            out.append([x for blk in row for x in blk[r]])
+def pair_monomial(g: MonomialPair) -> PairGrid:
+    """The block-diagonal monomial matrix of g: xi_i at (i, sigma(i)) and
+    phi_j at (k + j, k + tau(j))."""
+    k = len(g.sigma)
+    out = pair_zero_grid(k + len(g.tau), k + len(g.tau))
+    for i, (c, x) in enumerate(zip(g.sigma, g.xi)):
+        out[i][c] = to_pair(x)
+    for j, (c, x) in enumerate(zip(g.tau, g.phi)):
+        out[k + j][k + c] = to_pair(x)
     return out
 
 

@@ -14,7 +14,6 @@ from periplectic import (
     GaussRat,
     INDECOMPOSABLE,
     Mat,
-    Rep,
     Seed,
     analyze,
     bipartite_components,
@@ -47,7 +46,10 @@ from oracles import (
     direct_sum,
     make_split_core,
     make_weight_block,
+    oracle_build_rep,
     oracle_split_ok,
+    pair_monomial,
+    pair_product,
 )
 
 PATTERN_TWO_CLASSES = (
@@ -153,11 +155,14 @@ def test_criterion_06_canonical_form_orbit_invariance():
             canonical_to_json(canonical_form(acted)), sort_keys=True
         )
         ok = ok and blob.encode() == acted_blob.encode()
-        x = g.block_matrix()
-        x_inv = g.inverse().block_matrix()
-        rep = build_rep(seed)
-        y1, y2, s, e = (x * m * x_inv for m in rep.generators())
-        ok = ok and build_rep(acted) == Rep(seed.k, seed.l, y1, y2, s, e)
+        # M' X = X M for each generator M of the seed's module and M' of
+        # the acted seed's, with X the monomial matrix of g
+        x, n = pair_monomial(g), seed.k + seed.l
+        acted_gens = oracle_build_rep(acted)
+        ok = ok and all(
+            pair_product(acted_gens[name], x, n) == pair_product(x, m, n)
+            for name, m in oracle_build_rep(seed).items()
+        )
     _report(6, "canonical form fixed on orbits; action is conjugation", ok)
 
 

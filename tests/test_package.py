@@ -1,6 +1,11 @@
-"""The package namespace re-exports each library module's `__all__`."""
+"""The package namespace re-exports each library module's `__all__`, and
+every name the benchmark's tracer wraps exists."""
 
 from __future__ import annotations
+
+import importlib.util
+import sys
+from pathlib import Path
 
 import periplectic
 from periplectic import algebra, classify, errors, linalg, reps, rhizome
@@ -42,3 +47,16 @@ def test_all_is_the_union_of_the_module_lists():
     assert len(LISTED_BY_HAND) == 61
     assert LISTED_BY_HAND <= set(names)
 
+
+def test_traced_attributes_exist():
+    # the tracer module is loaded from its file, never installed
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for modname, name, *_ in tracing.SPANS + tracing.COUNTS:
+        # looked up as `tracing.install` looks it up
+        owner_name, _, attr = name.rpartition(".")
+        module = sys.modules[f"periplectic.{modname}"]
+        owner = getattr(module, owner_name) if owner_name else module
+        assert attr in vars(owner), (modname, name)

@@ -34,8 +34,6 @@ from periplectic import (
 
 from oracles import (
     Pair,
-    pair_apply,
-    pair_block,
     pair_diagonal,
     pair_is_diagonal,
     pair_is_zero,
@@ -156,12 +154,8 @@ class TestAgainstDenseReference:
         a = data.draw(grids(values=values, dense=dense))
         inner, cols = len(a[0]), data.draw(st.integers(1, 6))
         b = data.draw(grids(inner, cols, values, data.draw(st.booleans())))
-        vector = data.draw(st.lists(st.sampled_from(values + [_ZERO_PAIR] * 3), min_size=inner, max_size=inner))
         ma, mb = mat(a, inner), mat(b, cols)
         check_matches(ma * mb, pair_product(a, b, cols), cols)
-        assert ma.apply(tuple(GaussRat(*x) for x in vector)) == tuple(
-            GaussRat(*x) for x in pair_apply(a, vector)
-        )
 
     @settings(max_examples=120, deadline=None)
     @given(st.data())
@@ -177,15 +171,6 @@ class TestAgainstDenseReference:
         check_matches(picked, pair_submatrix(a, row_idx, col_idx), len(col_idx))
         with pytest.raises(IndexError):
             m.submatrix([0], [cols])
-        below = data.draw(grids(cols=cols))
-        right = data.draw(grids(rows=rows))
-        corner = data.draw(grids(len(below), len(right[0])))
-        blocks = [[a, right], [below, corner]]
-        check_matches(
-            Mat.block([[mat(g, len(g[0])) for g in row] for row in blocks]),
-            pair_block(blocks),
-            cols + len(right[0]),
-        )
         values = data.draw(st.lists(st.sampled_from(_VALUES + [_ZERO_PAIR] * 2), min_size=1, max_size=6))
         check_matches(Mat.diagonal([GaussRat(*x) for x in values]), pair_diagonal(values), len(values))
         check_matches(Mat.identity(rows), pair_diagonal([(F(1), F(0))] * rows), rows)
@@ -203,7 +188,6 @@ class TestAgainstDenseReference:
         product = left * right
         assert product.shape == (k, m) and product.nonzero == ({},) * k
         assert product == Mat.zero(k, m)
-        assert left.apply(()) == (ZERO,) * k
 
     def test_matrices_without_rows(self):
         empty, other = Mat([], cols=3), Mat.zero(0, 3)
@@ -211,7 +195,6 @@ class TestAgainstDenseReference:
             assert result.shape == (0, 3) and result.nonzero == ()
         product = empty * Mat([[1, 2], [0, 1], [3, 0]])
         assert product.shape == (0, 2) and product.nonzero == ()
-        assert empty.apply((ONE, ZERO, GaussRat(2))) == ()
 
     def test_shape_error_messages(self):
         for combine in (operator.add, operator.sub):
@@ -221,9 +204,6 @@ class TestAgainstDenseReference:
         with pytest.raises(ShapeError) as product:
             Mat([[1, 2]]) * Mat([[1, 2]])
         assert str(product.value) == "cannot multiply (1, 2) by (1, 2)"
-        with pytest.raises(ShapeError) as applied:
-            Mat([[1, 2]]).apply((ONE,))
-        assert str(applied.value) == "vector of length 1 against (1, 2)"
 
 
 class TestWordKernel:
