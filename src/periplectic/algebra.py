@@ -7,25 +7,38 @@ reports on the four relations of the degenerate affine Hecke algebra, the
 quotient in which e becomes zero.
 
 Some relations follow from others, so the checkers evaluate one only when
-one of its premises fails (over Q(i), where 2 is invertible):
+one of its premises fails (over Q(i), where 2 is invertible), or, for two
+relations on a calibrated module, when a check on single entries fails.
+On a calibrated module write y1 = diag(u), y2 = diag(v), w = u - v, and
+d for the Kronecker delta.  Let R1 = s*y1 - y2*s + 1 + e and
+R2 = s*y2 - y1*s - 1 + e be the residuals of s*y1 = y2*s - 1 - e and
+s*y2 = y1*s + 1 - e, and C = R1 - R2 = (y1 - y2)*s + s*(y1 - y2) + 2.
 - y1*y2 = y2*y1 on a calibrated module, with no premise: diagonal matrices
   commute;
+- s*y1 = y2*s - 1 - e on a calibrated module, with no premise, when
+  (R1)_ij = s_ij (u_j - v_i) + d_ij + e_ij is zero at every stored entry
+  of s and e and on the diagonal: it is zero everywhere else;
+- s*e = -e on a calibrated module from s*s = 1, s*y1 = y2*s - 1 - e and
+  e*s = e, when C = 0.  Write D = e*s - e.  With s*s = 1 and R1 = 0,
+  e = y2*s - s*y1 - 1 and s*e*s = s*y2 - y1*s - 1, so C = -e - s*e*s;
+  and s*D*s = s*e - s*e*s, so s*e + e = s*D*s - C.  With e*s = e, D = 0,
+  so s*e = -e holds exactly when C = 0.  C_ij = s_ij (w_i + w_j) + 2 d_ij:
+  C = 0 when each stored s_ij off the diagonal has w_j = -w_i and each
+  w_i s_ii = -1 (so a missing s_ii fails);
 - s*y2 = y1*s + 1 - e from s*s = 1, s*y1 = y2*s - 1 - e, e*s = e and
   s*e = -e: conjugating s*y1 = y2*s - 1 - e by s gives
   y1*s = s*y2 - 1 - s*e*s, and s*e*s = -e*s = -e.  With e = 0 this is the
   Hecke s*y2 = y1*s + 1 from s*s = 1 and s*y1 = y2*s - 1;
 - e*e = 0 from e*s = e and s*e = -e: e*e = e*s*e = -e*e;
 - e*y2 = e*y1 + e and y1*e = y2*e + e on a calibrated module, from the
-  premises of s*y2.  Write y1 = diag(u), y2 = diag(v) and w = u - v.
-  Subtracting s*y2 = y1*s + 1 - e from the s*y1 relation gives
-  s_ij (w_i + w_j) = -2 d_ij (d the Kronecker delta), so s_ii = -1/w_i
-  with w_i != 0, and s_ij != 0 for i != j forces w_j = -w_i.  The s*y1
+  premises of s*y2.  Then R1 = R2 = 0, so C = 0: s_ii = -1/w_i with
+  w_i != 0, and s_ij != 0 for i != j forces w_j = -w_i.  The s*y1
   relation reads e_ij = s_ij (v_i - u_j) - d_ij, so e_ii = 0 and e_ij != 0
   forces w_j = -w_i.  For such (i, j), any other term e_ip s_pj of
   (e*s)_ij would need w_j = -w_p = w_i, so w_i = 0; hence
   (e*s)_ij = e_ij s_jj = e_ij / w_i, and e*s = e gives w_i = 1, w_j = -1.
-  So (e*(y2 - y1 - 1))_ij =
-  -(w_j + 1) e_ij = 0 and ((y1 - y2 - 1)*e)_ij = (w_i - 1) e_ij = 0.
+  So (e*(y2 - y1 - 1))_ij = -(w_j + 1) e_ij = 0 and
+  ((y1 - y2 - 1)*e)_ij = (w_i - 1) e_ij = 0.
   The premise s*s = 1 is needed from 3 x 3 on; in 2 x 2 an e-y relation
   fails only with e != 0, and then e*s = e and s*e = -e give s the
   eigenvalues 1 and -1, so s*s = 1.
@@ -33,13 +46,14 @@ one of its premises fails (over Q(i), where 2 is invertible):
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .errors import CodecError, PreconditionError, ShapeError
 from .linalg import (
     GaussRat,
     Mat,
     _decode_at,
+    _diagonal,
     _json_kind,
     _reduce,
     _word_rows,
@@ -125,7 +139,10 @@ class RelationReport(Record):
 
 
 def _check(
-    n: int, relations: list[tuple[str, list, list]], premises: Mapping[str, tuple[str, ...]]
+    n: int,
+    relations: list[tuple[str, list, list]],
+    premises: Mapping[str, tuple[str, ...]],
+    checks: Mapping[str, Callable[[], bool]] = {},
 ) -> RelationReport:
     """Check relations (name, lhs words, rhs words), each side a sum of
     words as `linalg._word_rows` takes them, which streams the rows of
@@ -133,14 +150,24 @@ def _check(
     nonzero column: the one entry where lhs and rhs, that row alone, are
     evaluated and reduced once each.
 
-    `premises` maps a relation that the others imply to the relations it
-    follows from.  It is evaluated only when one of them failed; otherwise
-    it holds by proof.  The report still lists every relation in `checked`
-    and its violations in table order."""
+    `premises` maps a relation that may be skipped to the relations it
+    follows from, and `checks` may add a test on single entries that
+    settles it.  It is skipped when none of its premises failed and its
+    check, if any, holds; otherwise it is streamed, the one writer of its
+    violation.  Relations are settled in order of premise depth, so every
+    premise is settled first.  The report still lists every relation in
+    `checked` and its violations in table order."""
+
+    def depth(name: str) -> int:
+        return max((1 + depth(p) for p in premises.get(name, ())), default=0)
+
     failed = {}
-    # the relations with no premises go first, so every premise is settled
-    for name, lhs, rhs in sorted(relations, key=lambda r: r[0] in premises):
-        if name in premises and failed.keys().isdisjoint(premises[name]):
+    for name, lhs, rhs in sorted(relations, key=lambda r: depth(r[0])):
+        if (
+            name in premises
+            and failed.keys().isdisjoint(premises[name])
+            and (name not in checks or checks[name]())
+        ):
             continue
         difference = lhs + [(-c, *mats) for c, *mats in rhs]
         for i, acc in enumerate(_word_rows(difference, range(n))):
@@ -154,11 +181,78 @@ def _check(
     return RelationReport(not failed, tuple(failed[m] for m in names if m in failed), names)
 
 
+def _s_y1_holds(
+    u: list[tuple[int, int, int]], v: list[tuple[int, int, int]], s: Mat, e: Mat
+) -> bool:
+    """s*y1 = y2*s - 1 - e for y1 = diag(u) and y2 = diag(v), with u and v
+    as (a, b, d) triples: the residual s_ij (u_j - v_i) + d_ij + e_ij is
+    zero at every stored entry of s and e and on the diagonal."""
+    for i, (s_row, e_row) in enumerate(zip(s.nonzero, e.nonzero)):
+        va, vb, vd = v[i]
+        for j, x in s_row.items():
+            ua, ub, ud = u[j]
+            da, db = ua * vd - va * ud, ub * vd - vb * ud
+            a, b, d = x._a * da - x._b * db, x._a * db + x._b * da, x._d * ud * vd
+            y = e_row.get(j)
+            if y is not None:
+                a, b, d = a * y._d + y._a * d, b * y._d + y._b * d, d * y._d
+            if (a + d if j == i else a) or b:
+                return False
+        for j, y in e_row.items():
+            # s_ij = 0 here: the residual is e_ij + d_ij
+            if j not in s_row and ((y._a + y._d if j == i else y._a) or y._b):
+                return False
+        if i not in s_row and i not in e_row:
+            return False
+    return True
+
+
+def _c_vanishes(u: list[tuple[int, int, int]], v: list[tuple[int, int, int]], s: Mat) -> bool:
+    """C = (y1 - y2)*s + s*(y1 - y2) + 2 is zero, for y1 and y2 as in
+    `_s_y1_holds`.  With w = u - v, C_ij = s_ij (w_i + w_j) + 2 d_ij: each
+    stored s_ij off the diagonal has w_j = -w_i, and w_i s_ii = -1."""
+    w = [
+        (ua * vd - va * ud, ub * vd - vb * ud, ud * vd)
+        for (ua, ub, ud), (va, vb, vd) in zip(u, v)
+    ]
+    for i, row in enumerate(s.nonzero):
+        if i not in row:
+            return False
+        wa, wb, wd = w[i]
+        for j, x in row.items():
+            if j == i:
+                if x._a * wa - x._b * wb + x._d * wd or x._a * wb + x._b * wa:
+                    return False
+            else:
+                za, zb, zd = w[j]
+                if wa * zd + za * wd or wb * zd + zb * wd:
+                    return False
+    return True
+
+
 def verify_periplectic(rep: Rep) -> RelationReport:
     """Check all nine defining relations; the report carries the first
     offending entry of each relation that fails."""
     y1, y2, s, e = rep.generators()
     s_y2_premises = ("s*s = 1", "s*y1 = y2*s - 1 - e", "e*s = e", "s*e = -e")
+    premises = {
+        "s*y2 = y1*s + 1 - e": s_y2_premises,
+        "e*e = 0": ("e*s = e", "s*e = -e"),
+    }
+    checks = {}
+    if rep.is_calibrated:
+        u, v = _diagonal(y1), _diagonal(y2)
+        premises.update({
+            "y1*y2 = y2*y1": (),
+            "s*y1 = y2*s - 1 - e": (),
+            "s*e = -e": ("s*s = 1", "s*y1 = y2*s - 1 - e", "e*s = e"),
+            "e*y2 = e*y1 + e": s_y2_premises,
+            "y1*e = y2*e + e": s_y2_premises,
+        })
+        checks = {
+            "s*y1 = y2*s - 1 - e": lambda: _s_y1_holds(u, v, s, e),
+            "s*e = -e": lambda: _c_vanishes(u, v, s),
+        }
     return _check(rep.dim, [
         ("s*s = 1", [(1, s, s)], [(1,)]),
         ("y1*y2 = y2*y1", [(1, y1, y2)], [(1, y2, y1)]),
@@ -169,15 +263,7 @@ def verify_periplectic(rep: Rep) -> RelationReport:
         ("s*e = -e", [(1, s, e)], [(-1, e)]),
         ("e*y2 = e*y1 + e", [(1, e, y2)], [(1, e, y1), (1, e)]),
         ("y1*e = y2*e + e", [(1, y1, e)], [(1, y2, e), (1, e)]),
-    ], {
-        **({
-            "y1*y2 = y2*y1": (),
-            "e*y2 = e*y1 + e": s_y2_premises,
-            "y1*e = y2*e + e": s_y2_premises,
-        } if rep.is_calibrated else {}),
-        "s*y2 = y1*s + 1 - e": s_y2_premises,
-        "e*e = 0": ("e*s = e", "s*e = -e"),
-    })
+    ], premises, checks)
 
 
 def verify_hecke(rep: Rep) -> RelationReport:

@@ -176,6 +176,56 @@ class TestReportsMatchOracle:
             "s*s = 1", "s*y2 = y1*s + 1 - e", "y1*e = y2*e + e",
         ]
 
+    def test_c_fails_with_its_premises_holding(self):
+        """Calibrated modules where s*s = 1, s*y1 and e*s = e hold but
+        C = (y1 - y2)*s + s*(y1 - y2) + 2 does not vanish, so s*e = -e is
+        streamed and fails: on the line y1 = y2 = 0, s = 1, e = -1, C is 2;
+        on the 3 x 3 module below, with w = y1 - y2 = (-1, 1, -1) and
+        w_i s_ii = -1, C is nonzero at (0, 2) alone, where s_02 != 0 and
+        w_0 + w_2 = -2 (s*s = 1 since s_02 = -s_01 s_12 / 2)."""
+        line = Rep(1, 0, Mat([[0]]), Mat([[0]]), Mat([[1]]), Mat([[-1]]))
+        cube = Rep(
+            2,
+            1,
+            Mat.diagonal([0, 1, 3]),
+            Mat.diagonal([1, 0, 4]),
+            Mat([[1, 2, -1], [0, -1, 1], [0, 0, 1]]),
+            Mat([[0, 0, 2], [0, 0, -3], [0, 0, 0]]),
+        )
+        for rep in (line, cube):
+            assert rep.is_calibrated
+            _assert_reports_match_oracle(rep)
+            failed = [v.relation for v in verify_periplectic(rep).violations]
+            assert "s*e = -e" in failed
+            assert not set(failed) & {"s*s = 1", "s*y1 = y2*s - 1 - e", "e*s = e"}
+
+    def test_s_y1_fails_only_where_s_is_zero(self):
+        """Calibrated modules whose s*y1 residual s_ij (u_j - v_i) + d_ij +
+        e_ij (y1 = diag(u), y2 = diag(v)) is nonzero at one entry where
+        s_ij = 0: a built module with s_ii set to zero, where the residual
+        is 1 + e_ii = 1, or with e_ij (i != j, s_ij = 0) changed.  On the
+        line y1 = y2 = 0, s = 0, e = -1, s_00 is missing but s*y1 holds."""
+        relation = "s*y1 = y2*s - 1 - e"
+        rng = random.Random(36)
+        for t in range(40):
+            rep = build_rep(_repeated_seed(rng) if t % 2 else random_seed(rng))
+            n = rep.dim
+            if t % 4 < 2:
+                i = j = rng.randrange(n)
+                rep = _changed(rep, "s", i, i, -rep.s[i, i])
+            else:
+                zeros = [(i, j) for i in range(n) for j in range(n) if i != j and not rep.s[i, j]]
+                if not zeros:
+                    continue
+                i, j = rng.choice(zeros)
+                rep = _changed(rep, "e", i, j, random_nonzero_gauss(rng))
+            _assert_reports_match_oracle(rep)
+            violations = verify_periplectic(rep).violations
+            assert [v.position for v in violations if v.relation == relation] == [(i, j)]
+        line = Rep(1, 0, Mat([[0]]), Mat([[0]]), Mat([[0]]), Mat([[-1]]))
+        _assert_reports_match_oracle(line)
+        assert relation not in [v.relation for v in verify_periplectic(line).violations]
+
     @pytest.mark.parametrize(
         "name, off_diagonal",
         [("y1", False), ("y1", True), ("y2", False), ("s", False), ("e", False)],
@@ -327,22 +377,33 @@ def _stream_log(monkeypatch) -> list[tuple[object, list[int]]]:
 
 
 def test_derived_relations_are_not_evaluated(monkeypatch, reference_seed):
-    # every relation passes, so each evaluated one streams every row once;
-    # a calibrated module derives five of the nine periplectic relations, and
-    # a conjugate by a unit upper triangular matrix, not calibrated, two
+    # every relation passes, so each streamed one streams every row once; a
+    # calibrated module streams s*s = 1 and e*s = e, checks s*y1 and
+    # s*e = -e entry by entry and derives the other five; a conjugate by a
+    # unit upper triangular matrix, not calibrated, derives two
     log = _stream_log(monkeypatch)
     hecke = build_hecke_module(2, 3, Mat([[1, 0, 2], [0, 3, 1]]))
     conjugate = _unitriangular_conjugate(build_rep(reference_seed), random.Random(6))
     assert not conjugate.is_calibrated
-    for rep, verify, evaluated in (
-        (build_rep(reference_seed), verify_periplectic, 4),
-        (hecke, verify_periplectic, 4),
+    for rep, verify, streamed in (
+        (build_rep(reference_seed), verify_periplectic, 2),
+        (hecke, verify_periplectic, 2),
         (hecke, verify_hecke, 2),
         (conjugate, verify_periplectic, 7),
     ):
         log.clear()
         assert verify(rep).passed
-        assert sum(len(taken) for _, taken in log) == evaluated * rep.dim
+        assert sum(len(taken) for _, taken in log) == streamed * rep.dim
+    # on the line y1 = y2 = 0, s = 1, e = -1 only the check of s*e = -e
+    # fails: s*e is streamed, and so is each of the four relations it is a
+    # premise of; each fails at row 0, and s*y1 is still not streamed
+    log.clear()
+    line = Rep(1, 0, Mat([[0]]), Mat([[0]]), Mat([[1]]), Mat([[-1]]))
+    report = verify_periplectic(line)
+    assert [v.relation for v in report.violations] == [
+        "s*y2 = y1*s + 1 - e", "e*e = 0", "s*e = -e", "e*y2 = e*y1 + e", "y1*e = y2*e + e",
+    ]
+    assert len([taken for rows, taken in log if rows == range(1)]) == 7
 
 
 def test_a_failing_first_row_stops_its_stream(monkeypatch, reference_seed):

@@ -39,7 +39,7 @@ from periplectic.sampling import (
 
 from cli_runner import run_cli
 from oracles import direct_sum, make_split_core, make_weight_block
-from test_sparse_mat import _repeating, _staircase_seed
+from test_sparse_mat import _regular, _repeating, _staircase_seed
 
 REFERENCE = Seed(
     3,
@@ -186,6 +186,55 @@ class TestConstructVerify:
         ]
         document = {"passed": False, "violations": violations}
         assert result.stdout == json.dumps(document, indent=2) + "\n"
+
+    # sha256 of `verify` and `verify --json` stdout, recorded before
+    # s*y1 = y2*s - 1 - e and s*e = -e were checked entry by entry on
+    # calibrated modules; both passing modules print the same bytes
+    VERIFY_STAIRCASE_K16_SHA256 = {
+        "regular": (
+            0,
+            "aba4265b78c5942e9142e921b5d7d834ca4740f7b6ceeb97b555d9c6e7c99e0c",
+            "0adf2161214843baf9b6ed41e8cfad06e2c8474843e04ca775077787e2174b89",
+        ),
+        "repeated": (
+            0,
+            "aba4265b78c5942e9142e921b5d7d834ca4740f7b6ceeb97b555d9c6e7c99e0c",
+            "0adf2161214843baf9b6ed41e8cfad06e2c8474843e04ca775077787e2174b89",
+        ),
+        "s_diagonal": (
+            1,
+            "9afa814f26315edde485da68c1d6d0e73e59919a591874bb718fed364cd140af",
+            "058f6f2b3f8060cd4da171492b1ca130548facf7cc92e51d4dde1ee420b3def5",
+        ),
+        "e_entry": (
+            1,
+            "2ba270df89ea36483bcd426468ce78841fd09e5efa8adf089e89b046624ee990",
+            "42855e84054c390a88fa5006748e090023fe6695f8cd4d10dc4138fc2316f91d",
+        ),
+    }
+
+    def test_verify_bytes_are_pinned(self, tmp_path):
+        # staircase seed 2 at k = l = 16 with regular shifts, then with
+        # repeated ones; the regular module with s_33 (-1) set to 1/2, and
+        # with e_{20,2} (zero, and s_{20,2} zero) set to 1
+        rng = random.Random(2)
+        regular = rep_to_json(build_rep(_staircase_seed(16, rng, _regular(16))))
+        shifts = _repeating(rng, 16) + _repeating(rng, 16)
+        documents = {
+            "regular": regular,
+            "repeated": rep_to_json(build_rep(_staircase_seed(16, rng, shifts))),
+            "s_diagonal": copy.deepcopy(regular),
+            "e_entry": copy.deepcopy(regular),
+        }
+        documents["s_diagonal"]["s"][3][3] = ["1/2", "0/1"]
+        documents["e_entry"]["e"][20][2] = ["1/1", "0/1"]
+        for name, document in documents.items():
+            path = _write(tmp_path, f"{name}.json", json.dumps(document))
+            code, *digests = self.VERIFY_STAIRCASE_K16_SHA256[name]
+            for flags, digest in zip(([], ["--json"]), digests):
+                result = run_cli(["verify", *flags, path])
+                assert result.exit_code == code
+                assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
 
     def test_construct_rejects_incomplete_seed(self, tmp_path):
         path = _write(tmp_path, "partial.json", '{"k": 1, "l": 1}')

@@ -21,7 +21,7 @@ from periplectic import (
     scaling_normalize,
 )
 from periplectic.linalg import _walk
-from periplectic.sampling import random_matrix, random_rhizomatic_matrix
+from periplectic.sampling import random_rhizomatic_matrix
 
 from oracles import oracle_scaling_normalize, oracle_walk, oracle_zero_pattern, pairs_to_gauss
 
