@@ -58,6 +58,71 @@ NON_REGULAR = Seed(2, 1, Mat([[1], [1]]), (GaussRat(3), GaussRat(3), GaussRat(0)
 
 SMALL = Seed(1, 1, Mat([[2]]), (GaussRat(1), GaussRat(3)))
 
+SRC = str(Path(periplectic.__file__).resolve().parent.parent)
+
+# the nine relations in the order `verify` prints them
+RELATIONS = (
+    "s*s = 1",
+    "y1*y2 = y2*y1",
+    "s*y1 = y2*s - 1 - e",
+    "s*y2 = y1*s + 1 - e",
+    "e*e = 0",
+    "e*s = e",
+    "s*e = -e",
+    "e*y2 = e*y1 + e",
+    "y1*e = y2*e + e",
+)
+
+
+def _verify_text(failures: dict) -> str:
+    """`verify`'s stdout: `FAIL <relation>  at <failures[relation]>` for
+    each relation in `failures`, an ok line for every other one."""
+    return "".join(
+        f"FAIL {relation}  at {failures[relation]}\n" if relation in failures else f"ok   {relation}\n"
+        for relation in RELATIONS
+    )
+
+
+def _bidiagonal(n: int) -> Mat:
+    """The n x n coupling with 1 on the diagonal and 2 just above it."""
+    return Mat([[1 if j == i else 2 if j == i + 1 else 0 for j in range(n)] for i in range(n)])
+
+
+def _gaussian_k64() -> Seed:
+    """A k = l = 64 seed with Gaussian shifts: a_0 = b_0 and a_5 = b_6 on
+    coupled pairs, so e(0, 64) and e(5, 70) are zero, and a_1 = 1, so
+    y2(1, 1) is zero."""
+    a = [GaussRat(i, 1) for i in range(64)]
+    a[1] = GaussRat(1)
+    b = [GaussRat(64 + j, -1) for j in range(64)]
+    b[0], b[6] = a[0], a[5]
+    return Seed(64, 64, _bidiagonal(64), tuple(a + b))
+
+
+def _rhizomatic_seed_and_image(size: int) -> tuple[Seed, Seed]:
+    """A k = l = `size` regular rhizomatic seed drawn from Random(size), and
+    its image under the monomial pair drawn next."""
+    rng = random.Random(size)
+    seed = Seed(size, size, random_rhizomatic_matrix(rng, size, size), random_regular_ab(rng, size, size))
+    return seed, group_act(random_monomial_pair(rng, size, size), seed)
+
+
+def _bad_s_small() -> dict:
+    """SMALL's module with s[0][1] set to 5."""
+    document = rep_to_json(build_rep(SMALL))
+    document["s"][0][1] = ["5", "0"]
+    return document
+
+
+def _invalid_modules() -> list[tuple[dict, str]]:
+    """Modules that violate a relation, each with a FAIL line of `verify`."""
+    reference = rep_to_json(build_rep(REFERENCE))
+    reference["e"] = [[["0/1", "0/1"]] * 5 for _ in range(5)]
+    return [
+        (reference, "FAIL s*y1 = y2*s - 1 - e  at (0, 4): 0 != -1+2i"),
+        (_bad_s_small(), "FAIL s*y2 = y1*s + 1 - e  at (0, 1): 15 != 9"),
+    ]
+
 
 @pytest.fixture
 def seed_file(tmp_path):
@@ -71,6 +136,12 @@ def rep_file(tmp_path):
     path = tmp_path / "rep.json"
     path.write_text(json.dumps(rep_to_json(build_rep(REFERENCE))))
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def k64_document():
+    """A k = l = 64 module: identity coupling, shifts 0..127."""
+    return rep_to_json(build_rep(Seed(64, 64, Mat.identity(64), tuple(map(GaussRat, range(128))))))
 
 
 # a k = l = 3 module with y1[0][1] and e[4][1] changed, so eight of the nine
@@ -133,13 +204,67 @@ LONG_INT = b'{"k": ' + b"1" * 5000 + b', "l": 1, "S": [], "ab": []}'
 
 
 class TestConstructVerify:
-    def test_round_trip(self, tmp_path, seed_file):
-        built = run_cli(["construct", seed_file])
-        assert built.exit_code == 0
-        rep_path = _write(tmp_path, "built.json", built.stdout)
-        verified = run_cli(["verify", rep_path])
-        assert verified.exit_code == 0
-        assert verified.stdout.count("ok   ") == 9
+    def test_round_trip(self, tmp_path):
+        # construct writes the given cells; the module it writes passes
+        # verify, and endo --json reads it
+        zero = ["0/1", "0/1"]
+        k64_cells = {
+            ("e", 0, 64): zero,
+            ("e", 5, 70): zero,
+            ("y2", 1, 1): zero,
+            ("e", 1, 65): ["-64/1", "1/1"],
+        }
+        for seed, cells in ((REFERENCE, {}), (_gaussian_k64(), k64_cells)):
+            path = _write(tmp_path, "seed.json", json.dumps(seed_to_json(seed)))
+            built = run_cli(["construct", path])
+            assert (built.exit_code, built.stderr) == (0, "")
+            document = json.loads(built.stdout)
+            for (key, i, j), cell in cells.items():
+                assert document[key][i][j] == cell
+            rep_path = _write(tmp_path, "built.json", built.stdout)
+            verified = run_cli(["verify", rep_path])
+            assert verified[:3] == (0, _verify_text({}), "")
+            endo = run_cli(["endo", "--json", rep_path])
+            assert (endo.exit_code, endo.stderr) == (0, "")
+
+    @pytest.mark.parametrize(
+        "cells, failures",
+        [
+            ([], {}),
+            (
+                [(0, 65)],
+                {"s*y1 = y2*s - 1 - e": "(0, 65): 0 != -1", "s*y2 = y1*s + 1 - e": "(0, 65): 0 != -1"},
+            ),
+            # relation rows are streamed in order, so each FAIL line names
+            # the row-5 entry
+            (
+                [(5, 69), (63, 127)],
+                {"s*y1 = y2*s - 1 - e": "(5, 69): 68 != 3", "s*y2 = y1*s + 1 - e": "(5, 69): 69 != 4"},
+            ),
+            # a (-1, +1)-weight position: both e-y relations are derived on a
+            # calibrated module, but their premises s*y1 and e*s = e fail, so
+            # both are evaluated and name (70, 5)
+            (
+                [(70, 5)],
+                {
+                    "s*y1 = y2*s - 1 - e": "(70, 5): 0 != -1",
+                    "s*y2 = y1*s + 1 - e": "(70, 5): 0 != -1",
+                    "e*e = 0": "(6, 5): -64 != 0",
+                    "e*s = e": "(70, 5): -1 != 1",
+                    "s*e = -e": "(6, 5): 1 != 0",
+                    "e*y2 = e*y1 + e": "(70, 5): 4 != 6",
+                    "y1*e = y2*e + e": "(70, 5): 69 != 71",
+                },
+            ),
+        ],
+        ids=["passes", "upper_right", "two_rows", "lower_left"],
+    )
+    def test_verify_k64_names_first_offending_entry(self, tmp_path, k64_document, cells, failures):
+        document = _with_cells(k64_document, "e", {cell: ["1", "0"] for cell in cells})
+        path = _write(tmp_path, "rep.json", json.dumps(document))
+        result = run_cli(["verify", path])
+        assert (result.exit_code, result.stderr) == (1 if failures else 0, "")
+        assert result.stdout == _verify_text(failures)
 
     def test_verify_json_document(self, rep_file):
         result = run_cli(["verify", rep_file, "--json"])
@@ -148,12 +273,11 @@ class TestConstructVerify:
         assert document == {"passed": True, "violations": []}
 
     def test_verify_flags_violations(self, tmp_path):
-        data = rep_to_json(build_rep(REFERENCE))
-        data["e"] = [[["0/1", "0/1"]] * 5 for _ in range(5)]
-        path = _write(tmp_path, "broken.json", json.dumps(data))
-        result = run_cli(["verify", path])
-        assert result.exit_code == 1
-        assert "FAIL s*y1 = y2*s - 1 - e" in result.stdout
+        for document, line in _invalid_modules():
+            path = _write(tmp_path, "broken.json", json.dumps(document))
+            result = run_cli(["verify", path])
+            assert (result.exit_code, result.stderr) == (1, "")
+            assert line in result.stdout.splitlines()
 
     def test_verify_json_lists_violations(self, tmp_path):
         data = rep_to_json(build_rep(SMALL))
@@ -243,11 +367,13 @@ class TestConstructVerify:
         assert "lacks keys" in result.stderr
 
 
-def _with_S_cell(document: dict, cell: list) -> dict:
-    """The seed document with `cell` at row 2, column 1 of S."""
-    rows = [list(row) for row in document["S"]]
-    rows[2][1] = cell
-    return {**document, "S": rows}
+def _with_cells(document: dict, key: str, cells: dict) -> dict:
+    """The document with each `(row, column): cell` of `cells` set in the
+    matrix under `key`."""
+    rows = [list(row) for row in document[key]]
+    for (i, j), cell in cells.items():
+        rows[i][j] = cell
+    return {**document, key: rows}
 
 
 class TestInputErrors:
@@ -263,13 +389,10 @@ class TestInputErrors:
             assert result.exit_code == 2
             assert result.stderr == f"{path}: k and l must be non-negative integers\n"
 
-    def test_shape_error_on_large_module_is_one_short_line(self, tmp_path):
+    def test_shape_error_on_large_module_is_one_short_line(self, tmp_path, k64_document):
         # a k = l = 64 module whose k is one too large: the message names
         # what was found instead of echoing 128 rows of the file
-        seed = Seed(64, 64, Mat.identity(64), tuple(map(GaussRat, range(128))))
-        document = rep_to_json(build_rep(seed))
-        document["k"] = 65
-        path = _write(tmp_path, "rep.json", json.dumps(document))
+        path = _write(tmp_path, "rep.json", json.dumps({**k64_document, "k": 65}))
         result = run_cli(["verify", path])
         assert result.exit_code == 2
         assert result.stdout == ""
@@ -296,10 +419,10 @@ class TestInputErrors:
             ("verify", lambda doc: {**doc, "e": doc["e"][:4] + [doc["e"][4][:4] + [["0", None]]]},
              "expected a rational string in part 1, got null", "e: row 4, column 4: "),
             # a rational part is named by its length, never echoed
-            ("construct", lambda doc: _with_S_cell(doc, ["1" * 100000 + "x", "0"]),
+            ("construct", lambda doc: _with_cells(doc, "S", {(2, 1): ["1" * 100000 + "x", "0"]}),
              "bad rational in part 0 (100001 characters): not of the form n or n/m",
              "S: row 2, column 1: "),
-            ("construct", lambda doc: _with_S_cell(doc, ["1" * 5000, "0"]),
+            ("construct", lambda doc: _with_cells(doc, "S", {(2, 1): ["1" * 5000, "0"]}),
              "bad rational in part 0 (5000 characters): more than 4300 digits",
              "S: row 2, column 1: "),
             ("construct", lambda doc: {**doc, "ab": {}}, "ab must list 5 values, got an object", ""),
@@ -381,10 +504,21 @@ class TestInputErrors:
             # opens like a seed document, so rhizome parses it as JSON too
             (b'{"S": ' + b"[" * 100_000, "JSON nested too deeply"),
             (LONG_INT, f"a JSON integer has more than {sys.get_int_max_str_digits()} digits"),
+            # a bare array does not open like a seed document, so rhizome
+            # reads it as a pattern grid
+            (
+                b"[" * 100_000 + b"\n",
+                {
+                    "construct": "JSON nested too deeply",
+                    "rhizome": "line 1: unexpected pattern character '['",
+                },
+            ),
         ],
-        ids=["invalid_utf8", "deep_nesting", "long_integer"],
+        ids=["invalid_utf8", "deep_nesting", "long_integer", "deep_array"],
     )
     def test_malformed_file_exits_2(self, tmp_path, verb, content, message):
+        if isinstance(message, dict):
+            message = message[verb]
         path = tmp_path / "bad.json"
         path.write_bytes(content)
         result = run_cli([verb, str(path)])
@@ -441,10 +575,13 @@ class TestRhizome:
         assert reads == [seed_file]
 
     def test_bad_pattern_character(self, tmp_path):
-        path = _write(tmp_path, "pattern.txt", "*.\n?*\n")
-        result = run_cli(["rhizome", path])
-        assert result.exit_code == 2
-        assert "line 2" in result.stderr
+        for grid, message in (
+            ("*.\n?*\n", "line 2: unexpected pattern character '?'"),
+            ("*x\n", "line 1: unexpected pattern character 'x'"),
+        ):
+            path = _write(tmp_path, "pattern.txt", grid)
+            result = run_cli(["rhizome", path])
+            assert result[:3] == (2, "", f"{path}: {message}\n")
 
 
 class TestClassifyCommands:
@@ -464,12 +601,46 @@ class TestClassifyCommands:
         assert "verdict: decomposable" in result.stdout
         assert "dimensions 2 and 2" in result.stdout
 
-    def test_endo_json(self, rep_file):
+    def test_endo_json(self, tmp_path, rep_file, k64_document):
         result = run_cli(["endo", rep_file, "--json"])
         document = json.loads(result.stdout)
         assert document["dimension"] == 1
         assert document["all_diagonal"] is True
         assert len(document["basis"]) == 1
+        # the k = l = 64 module couples i with 64 + i only and every shift is
+        # regular, so the commutant is read off the coupling graph: 64
+        # diagonal idempotents.  The 54 MB document is checked by its head:
+        # parsing it would add half again the time the verb takes.
+        path = _write(tmp_path, "k64.json", json.dumps(k64_document))
+        result = run_cli(["endo", path, "--json"])
+        assert (result.exit_code, result.stderr) == (0, "")
+        assert result.stdout.startswith('{\n  "dimension": 64,\n  "all_diagonal": true,\n')
+
+    def test_unknown_endo_dim_matches_endo(self, tmp_path):
+        # each shift repeated on both sides and a connected staircase
+        # coupling: the undecided verdict's endo_dim (one rank, no basis)
+        # equals the dimension endo --json prints for the built module
+        ab = [GaussRat(i // 2) for i in range(16)] + [GaussRat(20 + j // 2, 1) for j in range(16)]
+        seed = Seed(16, 16, _bidiagonal(16), tuple(ab))
+        seed_path = _write(tmp_path, "seed.json", json.dumps(seed_to_json(seed)))
+        verdict = run_cli(["indecomposable", "--json", seed_path])
+        built = run_cli(["construct", seed_path])
+        endo = run_cli(["endo", "--json", _write(tmp_path, "rep.json", built.stdout)])
+        assert (verdict.exit_code, built.exit_code, endo.exit_code) == (0, 0, 0)
+        document = json.loads(verdict.stdout)
+        assert document["verdict"] == "unknown"
+        assert document["endo_dim"] == json.loads(endo.stdout)["dimension"]
+
+    def test_two_blocks_decompose_and_have_no_canonical_form(self, tmp_path):
+        seed = Seed(2, 2, Mat.identity(2), tuple(map(GaussRat, range(4))))
+        path = _write(tmp_path, "two-blocks.json", json.dumps(seed_to_json(seed)))
+        result = run_cli(["indecomposable", "--json", path])
+        assert result.exit_code == 0
+        document = json.loads(result.stdout)
+        assert document["verdict"] == "decomposable"
+        assert len(document["witness"]) == 2
+        result = run_cli(["canonical", path])
+        assert result[:3] == (3, "", "canonical form needs a rhizomatic coupling\n")
 
     def test_indecomposable_unknown_text(self, tmp_path):
         seed = Seed(2, 2, Mat([[1, 2], [3, 4]]), tuple(map(GaussRat, (1, 1, 2, 2))))
@@ -496,8 +667,7 @@ class TestClassifyCommands:
     def test_canonical_rejects_non_regular(self, tmp_path):
         path = _write(tmp_path, "nr.json", json.dumps(seed_to_json(NON_REGULAR)))
         result = run_cli(["canonical", path])
-        assert result.exit_code == 3
-        assert "regular" in result.stderr
+        assert result[:3] == (3, "", "canonical form needs regular shifts\n")
 
     def test_isomorphic_exit_codes(self, tmp_path, seed_file):
         same = _write(tmp_path, "same.json", json.dumps(seed_to_json(REFERENCE)))
@@ -514,9 +684,25 @@ class TestClassifyCommands:
         degenerate = _write(tmp_path, "deg.json", json.dumps(seed_to_json(repeated)))
         assert run_cli(["isomorphic", seed_file, same]).exit_code == 0
         mismatch = run_cli(["isomorphic", seed_file, other])
-        assert mismatch.exit_code == 1
-        assert "isomorphic: false" in mismatch.stdout
+        assert (mismatch.exit_code, mismatch.stdout) == (1, "isomorphic: false\n")
         assert run_cli(["isomorphic", seed_file, degenerate]).exit_code == 3
+
+    @pytest.mark.parametrize(
+        "seeds",
+        [
+            lambda: (REFERENCE, group_act(random_monomial_pair(random.Random(5), 3, 2), REFERENCE)),
+            lambda: _rhizomatic_seed_and_image(64),
+        ],
+        ids=["reference", "k64"],
+    )
+    def test_image_under_monomial_pair(self, tmp_path, seeds):
+        # a seed and its image are isomorphic and print the same canonical form
+        paths = [_write(tmp_path, f"{n}.json", json.dumps(seed_to_json(s))) for n, s in enumerate(seeds())]
+        result = run_cli(["isomorphic", *paths])
+        assert result[:3] == (0, "isomorphic: true\n", "")
+        one, two = (run_cli(["canonical", "--json", path]) for path in paths)
+        assert one.exit_code == 0
+        assert one[:3] == two[:3]
 
     def test_isomorphic_json(self, seed_file):
         result = run_cli(["isomorphic", "--json", seed_file, seed_file])
@@ -531,9 +717,7 @@ class TestClassifyCommands:
     def test_canonical_json_bytes_are_pinned(self, tmp_path):
         # a k = l = 12 regular rhizomatic seed and its image under a
         # monomial pair print the same bytes
-        rng = random.Random(12)
-        seed = Seed(12, 12, random_rhizomatic_matrix(rng, 12, 12), random_regular_ab(rng, 12, 12))
-        acted = group_act(random_monomial_pair(rng, 12, 12), seed)
+        seed, acted = _rhizomatic_seed_and_image(12)
         for name, s in (("seed.json", seed), ("acted.json", acted)):
             path = _write(tmp_path, name, json.dumps(seed_to_json(s)))
             result = run_cli(["canonical", "--json", path])
@@ -646,12 +830,12 @@ class TestSplit:
         assert result.stdout == json.dumps(document, indent=2) + "\n"
 
     def test_rejects_invalid_module(self, tmp_path):
-        data = rep_to_json(build_rep(REFERENCE))
-        data["e"] = [[["0/1", "0/1"]] * 5 for _ in range(5)]
-        path = _write(tmp_path, "broken.json", json.dumps(data))
-        result = run_cli(["split", path])
-        assert result.exit_code == 3
-        assert "input violates" in result.stderr
+        for document, _ in _invalid_modules():
+            path = _write(tmp_path, "broken.json", json.dumps(document))
+            result = run_cli(["split", path])
+            assert (result.exit_code, result.stdout) == (3, "")
+            assert result.stderr.startswith("input violates")
+            assert "Traceback" not in result.stderr
 
 
 # each fuzz property: the `cli` global replaced so that it fails, the
@@ -683,12 +867,16 @@ FUZZ_FAILURES = [
 
 class TestFuzz:
     def test_deterministic_and_green(self):
-        args = ["fuzz", "--trials", "12", "--seed", "7"]
-        first = run_cli(args)
-        second = run_cli(args)
-        assert first.exit_code == 0
-        assert first.stdout == second.stdout
-        assert "12/12 trials passed" in first.stdout
+        for trials, args in (
+            (12, ["fuzz", "--trials", "12", "--seed", "7"]),
+            (60, ["fuzz", "--seed", "3", "--trials", "60"]),
+            (40, ["fuzz", "--kmax", "10", "--lmax", "10", "--trials", "40", "--seed", "11"]),
+        ):
+            first = run_cli(args)
+            second = run_cli(args)
+            assert first.exit_code == 0
+            assert first.stdout == second.stdout
+            assert f"{trials}/{trials} trials passed" in first.stdout
 
     def test_json_document(self):
         result = run_cli(["fuzz", "--trials", "5", "--seed", "3", "--json"]
@@ -850,16 +1038,45 @@ def test_startup_imports():
         import periplectic.cli
         print([m for m in ("click", "dataclasses", "periplectic.sampling") if m in sys.modules])
     """
-    src = str(Path(periplectic.__file__).resolve().parent.parent)
     done = subprocess.run(
         [sys.executable, "-S", "-c", probe],
-        env=dict(os.environ, PYTHONPATH=src),
+        env=dict(os.environ, PYTHONPATH=SRC),
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == ["True", "[]"]
+
+
+def test_cli_runs_as_a_process(tmp_path):
+    """`python -m periplectic.cli` exits and writes what `main` does in
+    process, on one input for each exit code 0-3."""
+    (tmp_path / "bad.json").write_bytes(b"\xff\xfe{")
+    cases = [
+        ["construct", _write(tmp_path, "small.json", json.dumps(seed_to_json(SMALL)))],
+        ["verify", _write(tmp_path, "bad-s.json", json.dumps(_bad_s_small()))],
+        ["construct", str(tmp_path / "bad.json")],
+        ["canonical", _write(tmp_path, "nr.json", json.dumps(seed_to_json(NON_REGULAR)))],
+    ]
+    for code, args in enumerate(cases):
+        done = subprocess.run(
+            [sys.executable, "-m", "periplectic.cli", *args],
+            env=dict(os.environ, PYTHONPATH=SRC),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == run_cli(args)[:3]
+        assert done.returncode == code
+        assert "Traceback" not in done.stderr
+
+
+def test_workflow_runs_no_cli_checks():
+    """CLI checks belong in this file, which tier-1 runs, not in inline
+    scripts of the CI workflow."""
+    workflow = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
+    assert "periplectic.cli" not in workflow.read_text()
 
 
 # what a mutation puts in place of a node: small values only, so that no
