@@ -7,7 +7,7 @@ reports on the four relations of the degenerate affine Hecke algebra, the
 quotient in which e becomes zero.
 
 Some relations follow from others, so the checkers evaluate one only when
-one of its premises fails (over Q(i), where 2 is invertible), or, for two
+one of its premises fails (over Q(i), where 2 is invertible), or, for four
 relations on a calibrated module, when a check on single entries fails.
 On a calibrated module write y1 = diag(u), y2 = diag(v), w = u - v, and
 d for the Kronecker delta.  Let R1 = s*y1 - y2*s + 1 + e and
@@ -18,10 +18,23 @@ s*y2 = y1*s + 1 - e, and C = R1 - R2 = (y1 - y2)*s + s*(y1 - y2) + 2.
 - s*y1 = y2*s - 1 - e on a calibrated module, with no premise, when
   (R1)_ij = s_ij (u_j - v_i) + d_ij + e_ij is zero at every stored entry
   of s and e and on the diagonal: it is zero everywhere else;
+- s*s = 1 on a calibrated module, with no premise, when C = 0 (its
+  entries are given under s*e = -e) and O*O = 1 - D*D, where D is the
+  diagonal of s and O = s - D.  C = 0 gives s_ii = -1/w_i and puts O_ij
+  only where w_j = -w_i, so s_jj = -s_ii there and D*O + O*D = 0:
+  s*s = D*D + O*O;
+- e*s = e on a calibrated module from s*y1 = y2*s - 1 - e, when C = 0,
+  each row of e that stores an entry has w_i = 1, and e*O = 0, with D and
+  O as for s*s = 1.  R1 = 0 gives e_ij = s_ij (v_i - u_j) - d_ij, so
+  e_ii = -w_i s_ii - 1 = 0 and e_ij != 0 only where O_ij != 0, so
+  w_j = -w_i and (e*D)_ij = e_ij s_jj = e_ij / w_i.  (e*O)_ij != 0 needs
+  some e_ip O_pj != 0, so w_p = -w_i and w_j = w_i.  As w_i != 0 these
+  two patterns are apart, so e*s = e exactly when e*O = 0 and e*D = e,
+  that is, w_i = 1 on each row of e that stores an entry;
 - s*e = -e on a calibrated module from s*s = 1, s*y1 = y2*s - 1 - e and
-  e*s = e, when C = 0.  Write D = e*s - e.  With s*s = 1 and R1 = 0,
+  e*s = e, when C = 0.  Write F = e*s - e.  With s*s = 1 and R1 = 0,
   e = y2*s - s*y1 - 1 and s*e*s = s*y2 - y1*s - 1, so C = -e - s*e*s;
-  and s*D*s = s*e - s*e*s, so s*e + e = s*D*s - C.  With e*s = e, D = 0,
+  and s*F*s = s*e - s*e*s, so s*e + e = s*F*s - C.  With e*s = e, F = 0,
   so s*e = -e holds exactly when C = 0.  C_ij = s_ij (w_i + w_j) + 2 d_ij:
   C = 0 when each stored s_ij off the diagonal has w_j = -w_i and each
   w_i s_ii = -1 (so a missing s_ii fails);
@@ -46,7 +59,8 @@ s*y2 = y1*s + 1 - e, and C = R1 - R2 = (y1 - y2)*s + s*(y1 - y2) + 2.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+from functools import cache
+from typing import Callable, Iterator, Mapping
 
 from .errors import CodecError, PreconditionError, ShapeError
 from .linalg import (
@@ -158,6 +172,7 @@ def _check(
     premise is settled first.  The report still lists every relation in
     `checked` and its violations in table order."""
 
+    @cache
     def depth(name: str) -> int:
         return max((1 + depth(p) for p in premises.get(name, ())), default=0)
 
@@ -207,14 +222,10 @@ def _s_y1_holds(
     return True
 
 
-def _c_vanishes(u: list[tuple[int, int, int]], v: list[tuple[int, int, int]], s: Mat) -> bool:
-    """C = (y1 - y2)*s + s*(y1 - y2) + 2 is zero, for y1 and y2 as in
-    `_s_y1_holds`.  With w = u - v, C_ij = s_ij (w_i + w_j) + 2 d_ij: each
+def _c_vanishes(w: list[tuple[int, int, int]], s: Mat) -> bool:
+    """C = (y1 - y2)*s + s*(y1 - y2) + 2 is zero, for y1 - y2 = diag(w)
+    with w as (a, b, d) triples: C_ij = s_ij (w_i + w_j) + 2 d_ij, so each
     stored s_ij off the diagonal has w_j = -w_i, and w_i s_ii = -1."""
-    w = [
-        (ua * vd - va * ud, ub * vd - vb * ud, ud * vd)
-        for (ua, ub, ud), (va, vb, vd) in zip(u, v)
-    ]
     for i, row in enumerate(s.nonzero):
         if i not in row:
             return False
@@ -230,6 +241,46 @@ def _c_vanishes(u: list[tuple[int, int, int]], v: list[tuple[int, int, int]], s:
     return True
 
 
+def _off_products(left: tuple[dict, ...], s: Mat) -> Iterator[dict[int, tuple[int, int, int]]]:
+    """Yield row i of X*O for each row i of X, where X is `left` and O is s,
+    each without its diagonal, as unreduced (a, b, d) triples by column."""
+    right = s.nonzero
+    for i, row in enumerate(left):
+        acc: dict[int, tuple[int, int, int]] = {}
+        for p, x in row.items():
+            if p != i:
+                for j, y in right[p].items():
+                    if j != p:
+                        a, b, d = x._a * y._a - x._b * y._b, x._a * y._b + x._b * y._a, x._d * y._d
+                        va, vb, vd = acc.get(j, (0, 0, 1))
+                        acc[j] = (va * d + a * vd, vb * d + b * vd, vd * d)
+        yield acc
+
+
+def _s_squared_holds(s: Mat) -> bool:
+    """s*s = 1 when C = 0: O*O = 1 - D*D, with D the diagonal of s and O
+    the rest (see the module docstring)."""
+    for i, acc in enumerate(_off_products(s.nonzero, s)):
+        x = s.nonzero[i][i]
+        xa, xb, xd = x._a, x._b, x._d
+        a, b, d = acc.pop(i, (0, 0, 1))
+        # (a + b i)/d + x*x = 1, times d xd^2
+        if (a - d) * xd * xd + d * (xa * xa - xb * xb) or b * xd * xd + 2 * d * xa * xb:
+            return False
+        if acc and any(a or b for a, b, _ in acc.values()):
+            return False
+    return True
+
+
+def _e_s_holds(w: list[tuple[int, int, int]], s: Mat, e: Mat) -> bool:
+    """e*s = e when C = 0 and s*y1 = y2*s - 1 - e hold: w_i = 1 on each row
+    of e that stores an entry, and e*O = 0 (see the module docstring)."""
+    for (wa, wb, wd), row, acc in zip(w, e.nonzero, _off_products(e.nonzero, s)):
+        if row and (wa != wd or wb) or acc and any(a or b for a, b, _ in acc.values()):
+            return False
+    return True
+
+
 def verify_periplectic(rep: Rep) -> RelationReport:
     """Check all nine defining relations; the report carries the first
     offending entry of each relation that fails."""
@@ -242,16 +293,25 @@ def verify_periplectic(rep: Rep) -> RelationReport:
     checks = {}
     if rep.is_calibrated:
         u, v = _diagonal(y1), _diagonal(y2)
+        w = [
+            (ua * vd - va * ud, ub * vd - vb * ud, ud * vd)
+            for (ua, ub, ud), (va, vb, vd) in zip(u, v)
+        ]
+        c_vanishes = _c_vanishes(w, s)
         premises.update({
+            "s*s = 1": (),
             "y1*y2 = y2*y1": (),
             "s*y1 = y2*s - 1 - e": (),
+            "e*s = e": ("s*y1 = y2*s - 1 - e",),
             "s*e = -e": ("s*s = 1", "s*y1 = y2*s - 1 - e", "e*s = e"),
             "e*y2 = e*y1 + e": s_y2_premises,
             "y1*e = y2*e + e": s_y2_premises,
         })
         checks = {
+            "s*s = 1": lambda: c_vanishes and _s_squared_holds(s),
             "s*y1 = y2*s - 1 - e": lambda: _s_y1_holds(u, v, s, e),
-            "s*e = -e": lambda: _c_vanishes(u, v, s),
+            "e*s = e": lambda: c_vanishes and _e_s_holds(w, s, e),
+            "s*e = -e": lambda: c_vanishes,
         }
     return _check(rep.dim, [
         ("s*s = 1", [(1, s, s)], [(1,)]),

@@ -31,7 +31,7 @@ from periplectic import algebra
 from periplectic.linalg import _word_rows
 from periplectic.sampling import random_nonzero_gauss, random_polynomial, random_seed
 
-from oracles import oracle_relation_report, to_pair
+from oracles import direct_sum, make_weight_block, oracle_relation_report, to_pair
 
 PERIPLECTIC_RELATIONS = (
     "s*s = 1",
@@ -359,6 +359,67 @@ class TestReportsMatchOracle:
             ] == violations
         assert e_y_failures >= 50
 
+    def test_paired_weight_blocks(self):
+        """Blocks y1 = diag(u, u - d), y2 = diag(u - d, u), s = [[-1/d, b],
+        [c, 1/d]] with b c = 1 - 1/d^2 and e = 0: alone, summed with built
+        cores, and with one entry of s or e changed.  Their s stores entries
+        below the diagonal, which no built module does, so the checks of
+        s*s = 1 and e*s = e do arithmetic on O*O and e*O, O the part of s
+        off its diagonal."""
+        rng = random.Random(37)
+        below, failed = 0, 0
+        for t in range(30):
+            parts = [
+                make_weight_block(*(random_nonzero_gauss(rng) for _ in range(3)))
+                for _ in range(1 + t % 2)
+            ]
+            if t % 3:
+                parts.insert(rng.randrange(len(parts) + 1), build_rep(random_seed(rng, 3, 3)))
+            rep = direct_sum(parts)
+            assert rep.is_calibrated and verify_periplectic(rep).passed
+            _assert_reports_match_oracle(rep)
+            below += any(j < i for i, row in enumerate(rep.s.nonzero) for j in row)
+            n = rep.dim
+            i, j = rng.randrange(n), rng.randrange(n)
+            changed = _changed(rep, ("s", "e")[t % 2], i, j, random_nonzero_gauss(rng))
+            _assert_reports_match_oracle(changed)
+            failed += not verify_periplectic(changed).passed
+        assert below >= 25 and failed >= 25
+
+    @pytest.mark.parametrize(
+        "y1, y2, s, e, failed",
+        [
+            # C = 0 and O*O = diag(1, 1), not diag(3/4, 3/4)
+            ([0, -2], [-2, 0], [[GaussRat("-1/2"), 1], [1, GaussRat("1/2")]], [[0, 0], [0, 0]],
+             ["s*s = 1"]),
+            # s*s = 1 and s*y1 hold, and e stores e_01 in a row with w_0 = -1
+            ([0, 0], [1, -1], [[1, 1], [0, -1]], [[0, 1], [0, 0]],
+             ["e*s = e", "s*e = -e", "e*y2 = e*y1 + e", "y1*e = y2*e + e"]),
+            # s*y1 holds and w_0 = 1, but (e*O)_02 = e_01 s_12 = 1; O*O is
+            # nonzero at (0, 2) alone, so s*s = 1 fails too
+            ([1, -1, 0], [0, 0, -1], [[-1, 1, 0], [0, 1, 1], [0, 0, -1]],
+             [[0, 1, 0], [0, 0, 0], [0, 0, 0]],
+             ["s*s = 1", "e*s = e"]),
+            # O*O = 1 - D*D = 0, but w_1 s_11 = 1, so C != 0 and (s*s)_01 = 2
+            ([0, 1], [1, 0], [[1, 1], [0, 1]], [[0, 0], [0, -2]],
+             ["s*s = 1", "s*y2 = y1*s + 1 - e", "e*e = 0", "s*e = -e", "e*y2 = e*y1 + e"]),
+            # s*y1 holds, w_0 = 1 and e*O = 0, but C = 6, and e*s = -6 != e
+            ([1], [0], [[2]], [[-3]],
+             ["s*s = 1", "s*y2 = y1*s + 1 - e", "e*e = 0", "e*s = e", "s*e = -e",
+              "e*y2 = e*y1 + e"]),
+        ],
+        ids=["o_squared", "e_row_weight", "e_times_o", "c_with_o_squared", "c_with_e_row"],
+    )
+    def test_one_part_of_a_check_fails(self, y1, y2, s, e, failed):
+        """Calibrated modules where one part of the check of s*s = 1 or of
+        e*s = e fails (C = 0, O*O = 1 - D*D, w_i = 1 on the rows of e, or
+        e*O = 0) and its other parts hold, so the relation is streamed and
+        its violation reported."""
+        n = len(y1)
+        rep = Rep(n - 1, 1, Mat.diagonal(y1), Mat.diagonal(y2), Mat(s), Mat(e))
+        _assert_reports_match_oracle(rep)
+        assert [v.relation for v in verify_periplectic(rep).violations] == failed
+
 
 def _stream_log(monkeypatch) -> list[tuple[object, list[int]]]:
     """Route algebra's word kernel through a wrapper that logs each call as
@@ -378,25 +439,27 @@ def _stream_log(monkeypatch) -> list[tuple[object, list[int]]]:
 
 def test_derived_relations_are_not_evaluated(monkeypatch, reference_seed):
     # every relation passes, so each streamed one streams every row once; a
-    # calibrated module streams s*s = 1 and e*s = e, checks s*y1 and
-    # s*e = -e entry by entry and derives the other five; a conjugate by a
-    # unit upper triangular matrix, not calibrated, derives two
+    # calibrated module streams none: it checks s*s = 1, s*y1, e*s = e and
+    # s*e = -e entry by entry and derives the other five; verify_hecke
+    # streams s*s = 1 and s*y1; a conjugate by a unit upper triangular
+    # matrix, not calibrated, derives two
     log = _stream_log(monkeypatch)
     hecke = build_hecke_module(2, 3, Mat([[1, 0, 2], [0, 3, 1]]))
     conjugate = _unitriangular_conjugate(build_rep(reference_seed), random.Random(6))
     assert not conjugate.is_calibrated
     for rep, verify, streamed in (
-        (build_rep(reference_seed), verify_periplectic, 2),
-        (hecke, verify_periplectic, 2),
+        (build_rep(reference_seed), verify_periplectic, 0),
+        (hecke, verify_periplectic, 0),
         (hecke, verify_hecke, 2),
         (conjugate, verify_periplectic, 7),
     ):
         log.clear()
         assert verify(rep).passed
         assert sum(len(taken) for _, taken in log) == streamed * rep.dim
-    # on the line y1 = y2 = 0, s = 1, e = -1 only the check of s*e = -e
-    # fails: s*e is streamed, and so is each of the four relations it is a
-    # premise of; each fails at row 0, and s*y1 is still not streamed
+    # on the line y1 = y2 = 0, s = 1, e = -1 the check of s*y1 holds and
+    # C = 2 fails the checks of s*s = 1, e*s = e and s*e = -e: those three
+    # are streamed, and so is each of the four relations s*e is a premise
+    # of; s*e and those four fail at row 0, and s*y1 is still not streamed
     log.clear()
     line = Rep(1, 0, Mat([[0]]), Mat([[0]]), Mat([[1]]), Mat([[-1]]))
     report = verify_periplectic(line)
