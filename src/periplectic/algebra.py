@@ -23,14 +23,19 @@ s*y2 = y1*s + 1 - e, and C = R1 - R2 = (y1 - y2)*s + s*(y1 - y2) + 2.
   diagonal of s and O = s - D.  C = 0 gives s_ii = -1/w_i and puts O_ij
   only where w_j = -w_i, so s_jj = -s_ii there and D*O + O*D = 0:
   s*s = D*D + O*O;
-- e*s = e on a calibrated module from s*y1 = y2*s - 1 - e, when C = 0,
-  each row of e that stores an entry has w_i = 1, and e*O = 0, with D and
-  O as for s*s = 1.  R1 = 0 gives e_ij = s_ij (v_i - u_j) - d_ij, so
+- e*s = e on a calibrated module from s*s = 1 and s*y1 = y2*s - 1 - e,
+  when C = 0 and each row of e that stores an entry has w_i = 1, with D
+  and O as for s*s = 1.  R1 = 0 gives e_ij = s_ij (v_i - u_j) - d_ij, so
   e_ii = -w_i s_ii - 1 = 0 and e_ij != 0 only where O_ij != 0, so
   w_j = -w_i and (e*D)_ij = e_ij s_jj = e_ij / w_i.  (e*O)_ij != 0 needs
   some e_ip O_pj != 0, so w_p = -w_i and w_j = w_i.  As w_i != 0 these
-  two patterns are apart, so e*s = e exactly when e*O = 0 and e*D = e,
-  that is, w_i = 1 on each row of e that stores an entry;
+  two patterns are apart, so a row of e with w_i != 1 that stores an
+  entry fails e*s = e.  When every such row is empty, a row p of e with
+  w_p = -1 is empty, so O_pj != 0 forces v_p = u_j, and then
+  u_p = v_p - 1 = u_j - 1 in each term e_ip O_pj: on a row with w_i = 1,
+  (e*O)_ij = sum_p O_ip (v_i - u_p) O_pj = -(u_j - 1 - v_i) (O*O)_ij,
+  and s*s = 1 makes row i of O*O = 1 - D*D zero.  So e*O = 0 and
+  e*s = e*D = e;
 - s*e = -e on a calibrated module from s*s = 1, s*y1 = y2*s - 1 - e and
   e*s = e, when C = 0.  Write F = e*s - e.  With s*s = 1 and R1 = 0,
   e = y2*s - s*y1 - 1 and s*e*s = s*y2 - y1*s - 1, so C = -e - s*e*s;
@@ -59,7 +64,6 @@ s*y2 = y1*s + 1 - e, and C = R1 - R2 = (y1 - y2)*s + s*(y1 - y2) + 2.
 
 from __future__ import annotations
 
-from functools import cache
 from typing import Callable, Iterator, Mapping
 
 from .errors import CodecError, PreconditionError, ShapeError
@@ -153,47 +157,67 @@ class RelationReport(Record):
 
 
 def _check(
-    n: int,
-    relations: list[tuple[str, list, list]],
-    premises: Mapping[str, tuple[str, ...]],
+    rep: Rep,
+    table: tuple[tuple[str, ...], Mapping[str, tuple[str, ...]], tuple],
     checks: Mapping[str, Callable[[], bool]] = {},
 ) -> RelationReport:
-    """Check relations (name, lhs words, rhs words), each side a sum of
-    words as `linalg._word_rows` takes them, which streams the rows of
-    lhs - rhs.  A violation is the first nonzero row, at its smallest
-    nonzero column: the one entry where lhs and rhs, that row alone, are
-    evaluated and reduced once each.
+    """Check the relations of `table`, one of the module constants that
+    `_table` makes, on the generators of `rep`.  Each side of a relation is
+    a sum of signed words over the symbols y1, y2, s and e; bound to the
+    generators, it is what `linalg._word_rows` takes, which streams the
+    rows of lhs - rhs.  Only a relation that is streamed is bound.  A
+    violation is the first nonzero row, at its smallest nonzero column: the
+    one entry where lhs and rhs, that row alone, are evaluated and reduced
+    once each.
 
-    `premises` maps a relation that may be skipped to the relations it
-    follows from, and `checks` may add a test on single entries that
-    settles it.  It is skipped when none of its premises failed and its
-    check, if any, holds; otherwise it is streamed, the one writer of its
-    violation.  Relations are settled in order of premise depth, so every
-    premise is settled first.  The report still lists every relation in
-    `checked` and its violations in table order."""
+    A relation in the table's premise map may be skipped, and `checks`
+    may add a test on single entries that settles it.  It is skipped when
+    none of its premises failed and its check, if any, holds; otherwise it
+    is streamed, the one writer of its violation.  The evaluation order is
+    the table's, fixed at import, so every premise is settled first.  The
+    report still lists every relation in `checked` and its violations in
+    table order."""
 
-    @cache
-    def depth(name: str) -> int:
-        return max((1 + depth(p) for p in premises.get(name, ())), default=0)
+    mats = dict(zip(("y1", "y2", "s", "e"), rep.generators()))
 
+    def bind(words: list) -> list:
+        return [(c, *(mats[x] for x in symbols)) for c, *symbols in words]
+
+    names, premises, order = table
     failed = {}
-    for name, lhs, rhs in sorted(relations, key=lambda r: depth(r[0])):
+    for name, lhs, rhs in order:
         if (
             name in premises
             and failed.keys().isdisjoint(premises[name])
             and (name not in checks or checks[name]())
         ):
             continue
-        difference = lhs + [(-c, *mats) for c, *mats in rhs]
-        for i, acc in enumerate(_word_rows(difference, range(n))):
+        lhs, rhs = bind(lhs), bind(rhs)
+        difference = lhs + [(-c, *factors) for c, *factors in rhs]
+        for i, acc in enumerate(_word_rows(difference, range(rep.dim))):
             hit = [j for j, (a, b, _) in acc.items() if a or b]
             if hit:
                 j = min(hit)
                 sides = (next(_word_rows(words, [i])).get(j, (0, 0, 1)) for words in (lhs, rhs))
                 failed[name] = Violation(name, (i, j), *(_reduce(*t) for t in sides))
                 break
-    names = tuple(r[0] for r in relations)
     return RelationReport(not failed, tuple(failed[m] for m in names if m in failed), names)
+
+
+def _table(
+    relations: tuple[tuple[str, list, list], ...], premises: dict[str, tuple[str, ...]]
+) -> tuple[tuple[str, ...], dict[str, tuple[str, ...]], tuple]:
+    """A table for `_check`: the relation names in table order, `premises`
+    (a map from a relation that may be skipped to the relations it follows
+    from), and the relations in evaluation order.  That order sorts by
+    premise depth, table order within one depth, so every premise comes
+    before the relations that rest on it; it is computed once, at import."""
+
+    def depth(name: str) -> int:
+        return max((1 + depth(p) for p in premises.get(name, ())), default=0)
+
+    order = tuple(sorted(relations, key=lambda r: depth(r[0])))
+    return tuple(name for name, _, _ in relations), premises, order
 
 
 def _s_y1_holds(
@@ -241,15 +265,15 @@ def _c_vanishes(w: list[tuple[int, int, int]], s: Mat) -> bool:
     return True
 
 
-def _off_products(left: tuple[dict, ...], s: Mat) -> Iterator[dict[int, tuple[int, int, int]]]:
-    """Yield row i of X*O for each row i of X, where X is `left` and O is s,
-    each without its diagonal, as unreduced (a, b, d) triples by column."""
-    right = s.nonzero
-    for i, row in enumerate(left):
+def _off_products(s: Mat) -> Iterator[dict[int, tuple[int, int, int]]]:
+    """Yield row i of O*O for each row i of s, where O is s without its
+    diagonal, as unreduced (a, b, d) triples by column."""
+    rows = s.nonzero
+    for i, row in enumerate(rows):
         acc: dict[int, tuple[int, int, int]] = {}
         for p, x in row.items():
             if p != i:
-                for j, y in right[p].items():
+                for j, y in rows[p].items():
                     if j != p:
                         a, b, d = x._a * y._a - x._b * y._b, x._a * y._b + x._b * y._a, x._d * y._d
                         va, vb, vd = acc.get(j, (0, 0, 1))
@@ -260,7 +284,7 @@ def _off_products(left: tuple[dict, ...], s: Mat) -> Iterator[dict[int, tuple[in
 def _s_squared_holds(s: Mat) -> bool:
     """s*s = 1 when C = 0: O*O = 1 - D*D, with D the diagonal of s and O
     the rest (see the module docstring)."""
-    for i, acc in enumerate(_off_products(s.nonzero, s)):
+    for i, acc in enumerate(_off_products(s)):
         x = s.nonzero[i][i]
         xa, xb, xd = x._a, x._b, x._d
         a, b, d = acc.pop(i, (0, 0, 1))
@@ -272,72 +296,71 @@ def _s_squared_holds(s: Mat) -> bool:
     return True
 
 
-def _e_s_holds(w: list[tuple[int, int, int]], s: Mat, e: Mat) -> bool:
-    """e*s = e when C = 0 and s*y1 = y2*s - 1 - e hold: w_i = 1 on each row
-    of e that stores an entry, and e*O = 0 (see the module docstring)."""
-    for (wa, wb, wd), row, acc in zip(w, e.nonzero, _off_products(e.nonzero, s)):
-        if row and (wa != wd or wb) or acc and any(a or b for a, b, _ in acc.values()):
-            return False
-    return True
+def _e_s_holds(w: list[tuple[int, int, int]], e: Mat) -> bool:
+    """e*s = e when C = 0, s*s = 1 and s*y1 = y2*s - 1 - e hold: w_i = 1 on
+    each row of e that stores an entry (see the module docstring)."""
+    return all(wa == wd and not wb for (wa, wb, wd), row in zip(w, e.nonzero) if row)
+
+
+_S_Y2_PREMISES = ("s*s = 1", "s*y1 = y2*s - 1 - e", "e*s = e", "s*e = -e")
+_PERIPLECTIC_RELATIONS = (
+    ("s*s = 1", [(1, "s", "s")], [(1,)]),
+    ("y1*y2 = y2*y1", [(1, "y1", "y2")], [(1, "y2", "y1")]),
+    ("s*y1 = y2*s - 1 - e", [(1, "s", "y1")], [(1, "y2", "s"), (-1,), (-1, "e")]),
+    ("s*y2 = y1*s + 1 - e", [(1, "s", "y2")], [(1, "y1", "s"), (1,), (-1, "e")]),
+    ("e*e = 0", [(1, "e", "e")], []),
+    ("e*s = e", [(1, "e", "s")], [(1, "e")]),
+    ("s*e = -e", [(1, "s", "e")], [(-1, "e")]),
+    ("e*y2 = e*y1 + e", [(1, "e", "y2")], [(1, "e", "y1"), (1, "e")]),
+    ("y1*e = y2*e + e", [(1, "y1", "e")], [(1, "y2", "e"), (1, "e")]),
+)
+_PREMISES = {"s*y2 = y1*s + 1 - e": _S_Y2_PREMISES, "e*e = 0": ("e*s = e", "s*e = -e")}
+_PERIPLECTIC = _table(_PERIPLECTIC_RELATIONS, _PREMISES)
+# on a calibrated module every relation may be skipped, four after an entry check
+_PERIPLECTIC_CALIBRATED = _table(_PERIPLECTIC_RELATIONS, {
+    **_PREMISES,
+    "s*s = 1": (),
+    "y1*y2 = y2*y1": (),
+    "s*y1 = y2*s - 1 - e": (),
+    "e*s = e": ("s*s = 1", "s*y1 = y2*s - 1 - e"),
+    "s*e = -e": ("s*s = 1", "s*y1 = y2*s - 1 - e", "e*s = e"),
+    "e*y2 = e*y1 + e": _S_Y2_PREMISES,
+    "y1*e = y2*e + e": _S_Y2_PREMISES,
+})
+_HECKE_RELATIONS = (
+    ("s*s = 1", [(1, "s", "s")], [(1,)]),
+    ("y1*y2 = y2*y1", [(1, "y1", "y2")], [(1, "y2", "y1")]),
+    ("s*y1 = y2*s - 1", [(1, "s", "y1")], [(1, "y2", "s"), (-1,)]),
+    ("s*y2 = y1*s + 1", [(1, "s", "y2")], [(1, "y1", "s"), (1,)]),
+)
+_HECKE_PREMISES = {"s*y2 = y1*s + 1": ("s*s = 1", "s*y1 = y2*s - 1")}
+_HECKE = _table(_HECKE_RELATIONS, _HECKE_PREMISES)
+_HECKE_CALIBRATED = _table(_HECKE_RELATIONS, {**_HECKE_PREMISES, "y1*y2 = y2*y1": ()})
 
 
 def verify_periplectic(rep: Rep) -> RelationReport:
     """Check all nine defining relations; the report carries the first
     offending entry of each relation that fails."""
-    y1, y2, s, e = rep.generators()
-    s_y2_premises = ("s*s = 1", "s*y1 = y2*s - 1 - e", "e*s = e", "s*e = -e")
-    premises = {
-        "s*y2 = y1*s + 1 - e": s_y2_premises,
-        "e*e = 0": ("e*s = e", "s*e = -e"),
-    }
-    checks = {}
-    if rep.is_calibrated:
-        u, v = _diagonal(y1), _diagonal(y2)
-        w = [
-            (ua * vd - va * ud, ub * vd - vb * ud, ud * vd)
-            for (ua, ub, ud), (va, vb, vd) in zip(u, v)
-        ]
-        c_vanishes = _c_vanishes(w, s)
-        premises.update({
-            "s*s = 1": (),
-            "y1*y2 = y2*y1": (),
-            "s*y1 = y2*s - 1 - e": (),
-            "e*s = e": ("s*y1 = y2*s - 1 - e",),
-            "s*e = -e": ("s*s = 1", "s*y1 = y2*s - 1 - e", "e*s = e"),
-            "e*y2 = e*y1 + e": s_y2_premises,
-            "y1*e = y2*e + e": s_y2_premises,
-        })
-        checks = {
-            "s*s = 1": lambda: c_vanishes and _s_squared_holds(s),
-            "s*y1 = y2*s - 1 - e": lambda: _s_y1_holds(u, v, s, e),
-            "e*s = e": lambda: c_vanishes and _e_s_holds(w, s, e),
-            "s*e = -e": lambda: c_vanishes,
-        }
-    return _check(rep.dim, [
-        ("s*s = 1", [(1, s, s)], [(1,)]),
-        ("y1*y2 = y2*y1", [(1, y1, y2)], [(1, y2, y1)]),
-        ("s*y1 = y2*s - 1 - e", [(1, s, y1)], [(1, y2, s), (-1,), (-1, e)]),
-        ("s*y2 = y1*s + 1 - e", [(1, s, y2)], [(1, y1, s), (1,), (-1, e)]),
-        ("e*e = 0", [(1, e, e)], []),
-        ("e*s = e", [(1, e, s)], [(1, e)]),
-        ("s*e = -e", [(1, s, e)], [(-1, e)]),
-        ("e*y2 = e*y1 + e", [(1, e, y2)], [(1, e, y1), (1, e)]),
-        ("y1*e = y2*e + e", [(1, y1, e)], [(1, y2, e), (1, e)]),
-    ], premises, checks)
+    if not rep.is_calibrated:
+        return _check(rep, _PERIPLECTIC)
+    s, e = rep.s, rep.e
+    u, v = _diagonal(rep.y1), _diagonal(rep.y2)
+    w = [
+        (ua * vd - va * ud, ub * vd - vb * ud, ud * vd)
+        for (ua, ub, ud), (va, vb, vd) in zip(u, v)
+    ]
+    c_vanishes = _c_vanishes(w, s)
+    return _check(rep, _PERIPLECTIC_CALIBRATED, {
+        "s*s = 1": lambda: c_vanishes and _s_squared_holds(s),
+        "s*y1 = y2*s - 1 - e": lambda: _s_y1_holds(u, v, s, e),
+        "e*s = e": lambda: c_vanishes and _e_s_holds(w, e),
+        "s*e = -e": lambda: c_vanishes,
+    })
 
 
 def verify_hecke(rep: Rep) -> RelationReport:
     """Check the four degenerate affine Hecke relations on (y1, y2, s)."""
-    y1, y2, s, _ = rep.generators()
-    return _check(rep.dim, [
-        ("s*s = 1", [(1, s, s)], [(1,)]),
-        ("y1*y2 = y2*y1", [(1, y1, y2)], [(1, y2, y1)]),
-        ("s*y1 = y2*s - 1", [(1, s, y1)], [(1, y2, s), (-1,)]),
-        ("s*y2 = y1*s + 1", [(1, s, y2)], [(1, y1, s), (1,)]),
-    ], {
-        **({"y1*y2 = y2*y1": ()} if rep.is_calibrated else {}),
-        "s*y2 = y1*s + 1": ("s*s = 1", "s*y1 = y2*s - 1"),
-    })
+    return _check(rep, _HECKE_CALIBRATED if rep.is_calibrated else _HECKE)
 
 
 def poly_matrix(

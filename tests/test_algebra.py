@@ -363,9 +363,8 @@ class TestReportsMatchOracle:
         """Blocks y1 = diag(u, u - d), y2 = diag(u - d, u), s = [[-1/d, b],
         [c, 1/d]] with b c = 1 - 1/d^2 and e = 0: alone, summed with built
         cores, and with one entry of s or e changed.  Their s stores entries
-        below the diagonal, which no built module does, so the checks of
-        s*s = 1 and e*s = e do arithmetic on O*O and e*O, O the part of s
-        off its diagonal."""
+        below the diagonal, which no built module does, so the check of
+        s*s = 1 does arithmetic on O*O, O the part of s off its diagonal."""
         rng = random.Random(37)
         below, failed = 0, 0
         for t in range(30):
@@ -387,38 +386,122 @@ class TestReportsMatchOracle:
         assert below >= 25 and failed >= 25
 
     @pytest.mark.parametrize(
-        "y1, y2, s, e, failed",
+        "y1, y2, s, e, failed, by_premise",
         [
             # C = 0 and O*O = diag(1, 1), not diag(3/4, 3/4)
             ([0, -2], [-2, 0], [[GaussRat("-1/2"), 1], [1, GaussRat("1/2")]], [[0, 0], [0, 0]],
-             ["s*s = 1"]),
+             ["s*s = 1"], False),
             # s*s = 1 and s*y1 hold, and e stores e_01 in a row with w_0 = -1
             ([0, 0], [1, -1], [[1, 1], [0, -1]], [[0, 1], [0, 0]],
-             ["e*s = e", "s*e = -e", "e*y2 = e*y1 + e", "y1*e = y2*e + e"]),
-            # s*y1 holds and w_0 = 1, but (e*O)_02 = e_01 s_12 = 1; O*O is
-            # nonzero at (0, 2) alone, so s*s = 1 fails too
+             ["e*s = e", "s*e = -e", "e*y2 = e*y1 + e", "y1*e = y2*e + e"], False),
+            # C = 0, s*y1 holds and w_0 = 1, so the check of e*s = e holds;
+            # but O*O is nonzero at (0, 2) alone, so s*s = 1 fails, and
+            # e*s = e, streamed for that, fails at (e*s)_02 = e_01 s_12 = 1
             ([1, -1, 0], [0, 0, -1], [[-1, 1, 0], [0, 1, 1], [0, 0, -1]],
              [[0, 1, 0], [0, 0, 0], [0, 0, 0]],
-             ["s*s = 1", "e*s = e"]),
+             ["s*s = 1", "e*s = e"], True),
             # O*O = 1 - D*D = 0, but w_1 s_11 = 1, so C != 0 and (s*s)_01 = 2
             ([0, 1], [1, 0], [[1, 1], [0, 1]], [[0, 0], [0, -2]],
-             ["s*s = 1", "s*y2 = y1*s + 1 - e", "e*e = 0", "s*e = -e", "e*y2 = e*y1 + e"]),
-            # s*y1 holds, w_0 = 1 and e*O = 0, but C = 6, and e*s = -6 != e
+             ["s*s = 1", "s*y2 = y1*s + 1 - e", "e*e = 0", "s*e = -e", "e*y2 = e*y1 + e"], False),
+            # s*y1 holds and w_0 = 1, but C = 6, and e*s = -6 != e
             ([1], [0], [[2]], [[-3]],
              ["s*s = 1", "s*y2 = y1*s + 1 - e", "e*e = 0", "e*s = e", "s*e = -e",
-              "e*y2 = e*y1 + e"]),
+              "e*y2 = e*y1 + e"], False),
         ],
         ids=["o_squared", "e_row_weight", "e_times_o", "c_with_o_squared", "c_with_e_row"],
     )
-    def test_one_part_of_a_check_fails(self, y1, y2, s, e, failed):
+    def test_one_part_of_a_check_fails(self, y1, y2, s, e, failed, by_premise):
         """Calibrated modules where one part of the check of s*s = 1 or of
-        e*s = e fails (C = 0, O*O = 1 - D*D, w_i = 1 on the rows of e, or
-        e*O = 0) and its other parts hold, so the relation is streamed and
-        its violation reported."""
+        e*s = e fails (C = 0, O*O = 1 - D*D, or w_i = 1 on the rows of e)
+        and its other parts hold, so the relation is streamed and its
+        violation reported; in e_times_o the check of e*s = e holds, and
+        e*s = e is streamed because its premise s*s = 1 failed."""
         n = len(y1)
         rep = Rep(n - 1, 1, Mat.diagonal(y1), Mat.diagonal(y2), Mat(s), Mat(e))
         _assert_reports_match_oracle(rep)
         assert [v.relation for v in verify_periplectic(rep).violations] == failed
+        w = [(a - b, 0, 1) for a, b in zip(y1, y2)]
+        e_s_check = algebra._c_vanishes(w, rep.s) and algebra._e_s_holds(w, rep.e)
+        assert (e_s_check and "e*s = e" in failed and "s*s = 1" in failed) == by_premise
+
+    def test_e_times_o_nonzero(self):
+        """Calibrated modules with C = 0, s*y1 = y2*s - 1 - e holding and
+        w_i = 1 on every row of e that stores an entry, but e*O != 0, O the
+        part of s off its diagonal.  The weights w = y1 - y2 are 1 and -1,
+        with s_ii = -1/w_i; O runs from +1 rows to -1 columns and back, and
+        e is read off s*y1.  Each -1 row p has v_p = u_j wherever O_pj != 0,
+        so its row of e is empty, and (e*O)_ij = -(u_j - 1 - v_i) (O*O)_ij
+        is nonzero where u_j != u_i: s*s = 1 fails, and so does e*s = e,
+        whose check holds.  Half the modules are summed with a built core;
+        the basis is shuffled."""
+        rng = random.Random(38)
+        values = [GaussRat(x, y) for x in range(-2, 3) for y in (0, 1)]
+        for t in range(30):
+            alpha, beta = rng.sample(values, 2)
+            u_plus = [alpha, beta] + [rng.choice((alpha, beta)) for _ in range(t % 2)]
+            v_minus = [rng.choice((alpha, beta)) for _ in range(1 + t % 3 // 2)]
+            n = len(u_plus) + len(v_minus)
+            at = rng.sample(range(n), n)
+            plus, minus = at[: len(u_plus)], at[len(u_plus):]
+            u, v = [GaussRat(0)] * n, [GaussRat(0)] * n
+            grid = [[GaussRat(0)] * n for _ in range(n)]
+            for i, x in zip(plus, u_plus):
+                u[i], v[i], grid[i][i] = x, x - 1, GaussRat(-1)
+            for p, x in zip(minus, v_minus):
+                u[p], v[p], grid[p][p] = x - 1, x, GaussRat(1)
+                # into p from a +1 row whose u is not v_p, out of p to a +1
+                # column whose u is v_p, and to or from the others at random
+                into = [i for i in plus if u[i] != x]
+                out = [j for j in plus if u[j] == x]
+                for i in into:
+                    if i == into[0] or rng.random() < 0.5:
+                        grid[i][p] = random_nonzero_gauss(rng)
+                for j in out:
+                    if j == out[0] or rng.random() < 0.5:
+                        grid[p][j] = random_nonzero_gauss(rng)
+            y1, y2, s = Mat.diagonal(u), Mat.diagonal(v), Mat(grid)
+            rep = Rep(len(plus), len(minus), y1, y2, s, y2 * s - Mat.identity(n) - s * y1)
+            if t % 2:
+                rep = direct_sum([rep, build_rep(random_seed(rng, 3, 3))])
+            n = rep.dim
+            y1, y2, s, e = rep.generators()
+            w = y1 - y2
+            assert rep.is_calibrated
+            assert (w * s + s * w + Mat.diagonal([2] * n)).is_zero()
+            assert all(w[i, i] == GaussRat(1) for i, row in enumerate(e.nonzero) if row)
+            off = s - Mat.diagonal([s[i, i] for i in range(n)])
+            assert not (e * off).is_zero()
+            _assert_reports_match_oracle(rep)
+            failed = [v.relation for v in verify_periplectic(rep).violations]
+            assert "s*y1 = y2*s - 1 - e" not in failed
+            assert {"s*s = 1", "e*s = e"} <= set(failed)
+
+
+@pytest.mark.parametrize(
+    "verify, table, relations",
+    [
+        (verify_periplectic, algebra._PERIPLECTIC, PERIPLECTIC_RELATIONS),
+        (verify_periplectic, algebra._PERIPLECTIC_CALIBRATED, PERIPLECTIC_RELATIONS),
+        (verify_hecke, algebra._HECKE, HECKE_RELATIONS),
+        (verify_hecke, algebra._HECKE_CALIBRATED, HECKE_RELATIONS),
+    ],
+    ids=["periplectic", "periplectic_calibrated", "hecke", "hecke_calibrated"],
+)
+def test_tables_settle_premises_first(reference_seed, verify, table, relations):
+    # each premise names a relation of the table and is evaluated before the
+    # relation that rests on it; checked lists the relations in table order
+    names, premises, order = table
+    assert names == relations
+    position = {name: t for t, (name, _, _) in enumerate(order)}
+    assert sorted(position) == sorted(relations)
+    for name, before in premises.items():
+        assert name in position
+        for premise in before:
+            assert position[premise] < position[name]
+    calibrated = build_rep(reference_seed)
+    conjugate = _unitriangular_conjugate(calibrated, random.Random(6))
+    for rep in (calibrated, conjugate, _changed(calibrated, "s", 0, 1, GaussRat(1))):
+        assert verify(rep).checked == relations
 
 
 def _stream_log(monkeypatch) -> list[tuple[object, list[int]]]:
