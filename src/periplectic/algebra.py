@@ -2,9 +2,12 @@
 
 A representation is a quadruple of square matrices (y1, y2, s, e).  The
 periplectic checker reports on the nine defining relations of the
-two-strand degenerate affine periplectic Brauer algebra; the Hecke checker
+two-strand degenerate affine periplectic Brauer algebra.  The Hecke checker
 reports on the four relations of the degenerate affine Hecke algebra, the
-quotient in which e becomes zero.
+quotient in which e becomes zero, by running the periplectic one on
+(y1, y2, s, 0): there the five relations with e read 0 = 0, and each other
+one has the two sides of its Hecke form, so passed, checked and every
+violation's position, lhs and rhs stay the same under the Hecke names.
 
 Some relations follow from others, so the checkers evaluate one only when
 one of its premises fails (over Q(i), where 2 is invertible), or, for four
@@ -45,8 +48,8 @@ s*y2 = y1*s + 1 - e, and C = R1 - R2 = (y1 - y2)*s + s*(y1 - y2) + 2.
   w_i s_ii = -1 (so a missing s_ii fails);
 - s*y2 = y1*s + 1 - e from s*s = 1, s*y1 = y2*s - 1 - e, e*s = e and
   s*e = -e: conjugating s*y1 = y2*s - 1 - e by s gives
-  y1*s = s*y2 - 1 - s*e*s, and s*e*s = -e*s = -e.  With e = 0 this is the
-  Hecke s*y2 = y1*s + 1 from s*s = 1 and s*y1 = y2*s - 1;
+  y1*s = s*y2 - 1 - s*e*s, and s*e*s = -e*s = -e.  With e = 0 the last two
+  premises read 0 = 0, so this derives the Hecke s*y2 = y1*s + 1;
 - e*e = 0 from e*s = e and s*e = -e: e*e = e*s*e = -e*e;
 - e*y2 = e*y1 + e and y1*e = y2*e + e on a calibrated module, from the
   premises of s*y2.  Then R1 = R2 = 0, so C = 0: s_ii = -1/w_i with
@@ -204,10 +207,8 @@ def _check(
     return RelationReport(not failed, tuple(failed[m] for m in names if m in failed), names)
 
 
-def _table(
-    relations: tuple[tuple[str, list, list], ...], premises: dict[str, tuple[str, ...]]
-) -> tuple[tuple[str, ...], dict[str, tuple[str, ...]], tuple]:
-    """A table for `_check`: the relation names in table order, `premises`
+def _table(premises: dict[str, tuple[str, ...]]) -> tuple:
+    """A table for `_check`: the names of `_PERIPLECTIC_RELATIONS`, `premises`
     (a map from a relation that may be skipped to the relations it follows
     from), and the relations in evaluation order.  That order sorts by
     premise depth, table order within one depth, so every premise comes
@@ -216,8 +217,8 @@ def _table(
     def depth(name: str) -> int:
         return max((1 + depth(p) for p in premises.get(name, ())), default=0)
 
-    order = tuple(sorted(relations, key=lambda r: depth(r[0])))
-    return tuple(name for name, _, _ in relations), premises, order
+    order = tuple(sorted(_PERIPLECTIC_RELATIONS, key=lambda r: depth(r[0])))
+    return tuple(name for name, _, _ in _PERIPLECTIC_RELATIONS), premises, order
 
 
 def _s_y1_holds(
@@ -315,9 +316,9 @@ _PERIPLECTIC_RELATIONS = (
     ("y1*e = y2*e + e", [(1, "y1", "e")], [(1, "y2", "e"), (1, "e")]),
 )
 _PREMISES = {"s*y2 = y1*s + 1 - e": _S_Y2_PREMISES, "e*e = 0": ("e*s = e", "s*e = -e")}
-_PERIPLECTIC = _table(_PERIPLECTIC_RELATIONS, _PREMISES)
+_PERIPLECTIC = _table(_PREMISES)
 # on a calibrated module every relation may be skipped, four after an entry check
-_PERIPLECTIC_CALIBRATED = _table(_PERIPLECTIC_RELATIONS, {
+_PERIPLECTIC_CALIBRATED = _table({
     **_PREMISES,
     "s*s = 1": (),
     "y1*y2 = y2*y1": (),
@@ -327,15 +328,8 @@ _PERIPLECTIC_CALIBRATED = _table(_PERIPLECTIC_RELATIONS, {
     "e*y2 = e*y1 + e": _S_Y2_PREMISES,
     "y1*e = y2*e + e": _S_Y2_PREMISES,
 })
-_HECKE_RELATIONS = (
-    ("s*s = 1", [(1, "s", "s")], [(1,)]),
-    ("y1*y2 = y2*y1", [(1, "y1", "y2")], [(1, "y2", "y1")]),
-    ("s*y1 = y2*s - 1", [(1, "s", "y1")], [(1, "y2", "s"), (-1,)]),
-    ("s*y2 = y1*s + 1", [(1, "s", "y2")], [(1, "y1", "s"), (1,)]),
-)
-_HECKE_PREMISES = {"s*y2 = y1*s + 1": ("s*s = 1", "s*y1 = y2*s - 1")}
-_HECKE = _table(_HECKE_RELATIONS, _HECKE_PREMISES)
-_HECKE_CALIBRATED = _table(_HECKE_RELATIONS, {**_HECKE_PREMISES, "y1*y2 = y2*y1": ()})
+# the first four relations, which e = 0 keeps, by their Hecke names (see the module docstring)
+_HECKE_NAMES = {name: name.removesuffix(" - e") for name, _, _ in _PERIPLECTIC_RELATIONS[:4]}
 
 
 def verify_periplectic(rep: Rep) -> RelationReport:
@@ -359,8 +353,12 @@ def verify_periplectic(rep: Rep) -> RelationReport:
 
 
 def verify_hecke(rep: Rep) -> RelationReport:
-    """Check the four degenerate affine Hecke relations on (y1, y2, s)."""
-    return _check(rep, _HECKE_CALIBRATED if rep.is_calibrated else _HECKE)
+    """Check the four Hecke relations: the periplectic ones without e, on (y1, y2, s, 0)."""
+    report = verify_periplectic(Rep(rep.k, rep.l, rep.y1, rep.y2, rep.s, Mat.zero(*rep.s.shape)))
+    violations = tuple(
+        Violation(_HECKE_NAMES[v.relation], v.position, v.lhs, v.rhs) for v in report.violations
+    )
+    return RelationReport(report.passed, violations, tuple(_HECKE_NAMES.values()))
 
 
 def poly_matrix(

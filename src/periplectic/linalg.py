@@ -51,7 +51,8 @@ class GaussRat:
 
     The ordering compares (re, im) lexicographically.  It is a total order
     compatible with equality, used for deterministic sorting; it is of
-    course not compatible with the field structure.
+    course not compatible with the field structure.  A GaussRat equals only
+    a GaussRat, not an int or a Fraction, though +, -, * and / accept both.
     """
 
     __slots__ = ("_a", "_b", "_d")

@@ -1156,7 +1156,7 @@ class TestNoTraceback:
     stderr line.  An exception other than SystemExit leaves run_cli and
     fails the test."""
 
-    SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    SETTINGS = settings(max_examples=60, deadline=None)
 
     def _run_all(self, mutation_dir, text: str, verbs, as_json: bool) -> None:
         path = _write(mutation_dir, "mutated", text)

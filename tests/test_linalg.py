@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from periplectic import (
     CodecError,
@@ -47,6 +47,13 @@ from oracles import (
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 scalars = st.builds(GaussRat, fractions, fractions)
 nonzero_scalars = scalars.filter(bool)
+
+
+def test_property_tests_are_deterministic():
+    # the profile tests/conftest.py loads, alone and under a test's own settings
+    for current in (settings.default, settings(max_examples=300, deadline=None)):
+        assert current.derandomize is True
+        assert current.database is None
 
 
 def q(re, im=0) -> GaussRat:
