@@ -9,13 +9,17 @@ quotient in which e becomes zero, by running the periplectic one on
 one has the two sides of its Hecke form, so passed, checked and every
 violation's position, lhs and rhs stay the same under the Hecke names.
 
-Some relations follow from others, so the checkers evaluate one only when
-one of its premises fails (over Q(i), where 2 is invertible), or, for four
-relations on a calibrated module, when a check on single entries fails.
-On a calibrated module write y1 = diag(u), y2 = diag(v), w = u - v, and
-d for the Kronecker delta.  Let R1 = s*y1 - y2*s + 1 + e and
-R2 = s*y2 - y1*s - 1 + e be the residuals of s*y1 = y2*s - 1 - e and
-s*y2 = y1*s + 1 - e, and C = R1 - R2 = (y1 - y2)*s + s*(y1 - y2) + 2.
+Two relations follow from others over Q(i), where 2 is invertible, so the
+checkers stream one of them only when one of its premises fails: s*y2 from
+s*s = 1, s*y1, e*s = e and s*e = -e, and e*e = 0 from the last two.  On a
+calibrated module, four checks on single entries, for s*s = 1, s*y1,
+e*s = e and s*e = -e, together prove all nine relations, as below: when
+all four hold the module passes with no stream, and otherwise it is
+streamed like any other module.  On a calibrated module write
+y1 = diag(u), y2 = diag(v), w = u - v, and d for the Kronecker delta.
+Let R1 = s*y1 - y2*s + 1 + e and R2 = s*y2 - y1*s - 1 + e be the
+residuals of s*y1 = y2*s - 1 - e and s*y2 = y1*s + 1 - e, and
+C = R1 - R2 = (y1 - y2)*s + s*(y1 - y2) + 2.
 - y1*y2 = y2*y1 on a calibrated module, with no premise: diagonal matrices
   commute;
 - s*y1 = y2*s - 1 - e on a calibrated module, with no premise, when
@@ -67,7 +71,7 @@ s*y2 = y1*s + 1 - e, and C = R1 - R2 = (y1 - y2)*s + s*(y1 - y2) + 2.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .errors import CodecError, PreconditionError, ShapeError
 from .linalg import (
@@ -159,25 +163,18 @@ class RelationReport(Record):
     checked: tuple[str, ...]
 
 
-def _check(
-    rep: Rep,
-    table: tuple[tuple[str, ...], Mapping[str, tuple[str, ...]], tuple],
-    checks: Mapping[str, Callable[[], bool]] = {},
-) -> RelationReport:
-    """Check the relations of `table`, one of the module constants that
-    `_table` makes, on the generators of `rep`.  Each side of a relation is
-    a sum of signed words over the symbols y1, y2, s and e; bound to the
-    generators, it is what `linalg._word_rows` takes, which streams the
-    rows of lhs - rhs.  Only a relation that is streamed is bound.  A
-    violation is the first nonzero row, at its smallest nonzero column: the
-    one entry where lhs and rhs, that row alone, are evaluated and reduced
-    once each.
+def _check(rep: Rep) -> RelationReport:
+    """Check the nine relations on the generators of `rep`.  Each side of a
+    relation is a sum of signed words over the symbols y1, y2, s and e;
+    bound to the generators, it is what `linalg._word_rows` takes, which
+    streams the rows of lhs - rhs.  Only a relation that is streamed is
+    bound.  A violation is the first nonzero row, at its smallest nonzero
+    column: the one entry where lhs and rhs, that row alone, are evaluated
+    and reduced once each.
 
-    A relation in the table's premise map may be skipped, and `checks`
-    may add a test on single entries that settles it.  It is skipped when
-    none of its premises failed and its check, if any, holds; otherwise it
-    is streamed, the one writer of its violation.  The evaluation order is
-    the table's, fixed at import, so every premise is settled first.  The
+    A relation in `_PREMISES` is skipped when none of its premises failed;
+    otherwise it is streamed, the one writer of its violation.  `_ORDER`
+    puts those relations last, so every premise is settled first.  The
     report still lists every relation in `checked` and its violations in
     table order."""
 
@@ -186,14 +183,9 @@ def _check(
     def bind(words: list) -> list:
         return [(c, *(mats[x] for x in symbols)) for c, *symbols in words]
 
-    names, premises, order = table
     failed = {}
-    for name, lhs, rhs in order:
-        if (
-            name in premises
-            and failed.keys().isdisjoint(premises[name])
-            and (name not in checks or checks[name]())
-        ):
+    for name, lhs, rhs in _ORDER:
+        if name in _PREMISES and failed.keys().isdisjoint(_PREMISES[name]):
             continue
         lhs, rhs = bind(lhs), bind(rhs)
         difference = lhs + [(-c, *factors) for c, *factors in rhs]
@@ -204,21 +196,7 @@ def _check(
                 sides = (next(_word_rows(words, [i])).get(j, (0, 0, 1)) for words in (lhs, rhs))
                 failed[name] = Violation(name, (i, j), *(_reduce(*t) for t in sides))
                 break
-    return RelationReport(not failed, tuple(failed[m] for m in names if m in failed), names)
-
-
-def _table(premises: dict[str, tuple[str, ...]]) -> tuple:
-    """A table for `_check`: the names of `_PERIPLECTIC_RELATIONS`, `premises`
-    (a map from a relation that may be skipped to the relations it follows
-    from), and the relations in evaluation order.  That order sorts by
-    premise depth, table order within one depth, so every premise comes
-    before the relations that rest on it; it is computed once, at import."""
-
-    def depth(name: str) -> int:
-        return max((1 + depth(p) for p in premises.get(name, ())), default=0)
-
-    order = tuple(sorted(_PERIPLECTIC_RELATIONS, key=lambda r: depth(r[0])))
-    return tuple(name for name, _, _ in _PERIPLECTIC_RELATIONS), premises, order
+    return RelationReport(not failed, tuple(failed[m] for m in _NAMES if m in failed), _NAMES)
 
 
 def _s_y1_holds(
@@ -303,7 +281,6 @@ def _e_s_holds(w: list[tuple[int, int, int]], e: Mat) -> bool:
     return all(wa == wd and not wb for (wa, wb, wd), row in zip(w, e.nonzero) if row)
 
 
-_S_Y2_PREMISES = ("s*s = 1", "s*y1 = y2*s - 1 - e", "e*s = e", "s*e = -e")
 _PERIPLECTIC_RELATIONS = (
     ("s*s = 1", [(1, "s", "s")], [(1,)]),
     ("y1*y2 = y2*y1", [(1, "y1", "y2")], [(1, "y2", "y1")]),
@@ -315,41 +292,38 @@ _PERIPLECTIC_RELATIONS = (
     ("e*y2 = e*y1 + e", [(1, "e", "y2")], [(1, "e", "y1"), (1, "e")]),
     ("y1*e = y2*e + e", [(1, "y1", "e")], [(1, "y2", "e"), (1, "e")]),
 )
-_PREMISES = {"s*y2 = y1*s + 1 - e": _S_Y2_PREMISES, "e*e = 0": ("e*s = e", "s*e = -e")}
-_PERIPLECTIC = _table(_PREMISES)
-# on a calibrated module every relation may be skipped, four after an entry check
-_PERIPLECTIC_CALIBRATED = _table({
-    **_PREMISES,
-    "s*s = 1": (),
-    "y1*y2 = y2*y1": (),
-    "s*y1 = y2*s - 1 - e": (),
-    "e*s = e": ("s*s = 1", "s*y1 = y2*s - 1 - e"),
-    "s*e = -e": ("s*s = 1", "s*y1 = y2*s - 1 - e", "e*s = e"),
-    "e*y2 = e*y1 + e": _S_Y2_PREMISES,
-    "y1*e = y2*e + e": _S_Y2_PREMISES,
-})
+_NAMES = tuple(name for name, _, _ in _PERIPLECTIC_RELATIONS)
+# each derived relation with the relations it follows from (see the module docstring)
+_PREMISES = {
+    "s*y2 = y1*s + 1 - e": ("s*s = 1", "s*y1 = y2*s - 1 - e", "e*s = e", "s*e = -e"),
+    "e*e = 0": ("e*s = e", "s*e = -e"),
+}
+# the derived relations last, so every premise is settled first
+_ORDER = tuple(sorted(_PERIPLECTIC_RELATIONS, key=lambda r: r[0] in _PREMISES))
 # the first four relations, which e = 0 keeps, by their Hecke names (see the module docstring)
 _HECKE_NAMES = {name: name.removesuffix(" - e") for name, _, _ in _PERIPLECTIC_RELATIONS[:4]}
 
 
 def verify_periplectic(rep: Rep) -> RelationReport:
     """Check all nine defining relations; the report carries the first
-    offending entry of each relation that fails."""
-    if not rep.is_calibrated:
-        return _check(rep, _PERIPLECTIC)
-    s, e = rep.s, rep.e
-    u, v = _diagonal(rep.y1), _diagonal(rep.y2)
-    w = [
-        (ua * vd - va * ud, ub * vd - vb * ud, ud * vd)
-        for (ua, ub, ud), (va, vb, vd) in zip(u, v)
-    ]
-    c_vanishes = _c_vanishes(w, s)
-    return _check(rep, _PERIPLECTIC_CALIBRATED, {
-        "s*s = 1": lambda: c_vanishes and _s_squared_holds(s),
-        "s*y1 = y2*s - 1 - e": lambda: _s_y1_holds(u, v, s, e),
-        "e*s = e": lambda: c_vanishes and _e_s_holds(w, e),
-        "s*e = -e": lambda: c_vanishes,
-    })
+    offending entry of each relation that fails.  A calibrated module on
+    which the four entry checks hold passes without a stream (see the
+    module docstring); every other module is streamed."""
+    if rep.is_calibrated:
+        s, e = rep.s, rep.e
+        u, v = _diagonal(rep.y1), _diagonal(rep.y2)
+        w = [
+            (ua * vd - va * ud, ub * vd - vb * ud, ud * vd)
+            for (ua, ub, ud), (va, vb, vd) in zip(u, v)
+        ]
+        if (
+            _c_vanishes(w, s)
+            and _s_squared_holds(s)
+            and _s_y1_holds(u, v, s, e)
+            and _e_s_holds(w, e)
+        ):
+            return RelationReport(True, (), _NAMES)
+    return _check(rep)
 
 
 def verify_hecke(rep: Rep) -> RelationReport:

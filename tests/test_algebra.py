@@ -418,9 +418,10 @@ class TestReportsMatchOracle:
     def test_one_part_of_a_check_fails(self, y1, y2, s, e, failed, by_premise):
         """Calibrated modules where one part of the check of s*s = 1 or of
         e*s = e fails (C = 0, O*O = 1 - D*D, or w_i = 1 on the rows of e)
-        and its other parts hold, so the relation is streamed and its
-        violation reported; in e_times_o the check of e*s = e holds, and
-        e*s = e is streamed because its premise s*s = 1 failed."""
+        and its other parts hold, so the module is streamed and the
+        relation's violation reported; in e_times_o the check of e*s = e
+        holds, and e*s = e fails in the stream that the failed check of
+        s*s = 1 starts."""
         n = len(y1)
         rep = Rep(n - 1, 1, Mat.diagonal(y1), Mat.diagonal(y2), Mat(s), Mat(e))
         _assert_reports_match_oracle(rep)
@@ -482,29 +483,20 @@ class TestReportsMatchOracle:
             assert {"s*s = 1", "e*s = e"} <= set(failed)
 
 
-@pytest.mark.parametrize(
-    "verify, table, relations",
-    [
-        (verify_periplectic, algebra._PERIPLECTIC, PERIPLECTIC_RELATIONS),
-        (verify_periplectic, algebra._PERIPLECTIC_CALIBRATED, PERIPLECTIC_RELATIONS),
-    ],
-    ids=["periplectic", "periplectic_calibrated"],
-)
-def test_tables_settle_premises_first(reference_seed, verify, table, relations):
-    # each premise names a relation of the table and is evaluated before the
-    # relation that rests on it; checked lists the relations in table order
-    names, premises, order = table
-    assert names == relations
-    position = {name: t for t, (name, _, _) in enumerate(order)}
-    assert sorted(position) == sorted(relations)
-    for name, before in premises.items():
-        assert name in position
+def test_tables_settle_premises_first(reference_seed):
+    # the evaluation order holds every relation once, and each premise names
+    # a relation that is evaluated before the relation that rests on it;
+    # checked lists the relations in table order
+    order = [name for name, _, _ in algebra._ORDER]
+    assert sorted(order) == sorted(PERIPLECTIC_RELATIONS)
+    position = {name: t for t, name in enumerate(order)}
+    for name, before in algebra._PREMISES.items():
         for premise in before:
             assert position[premise] < position[name]
     calibrated = build_rep(reference_seed)
     conjugate = _unitriangular_conjugate(calibrated, random.Random(6))
     for rep in (calibrated, conjugate, _changed(calibrated, "s", 0, 1, GaussRat(1))):
-        assert verify(rep).checked == relations
+        assert verify_periplectic(rep).checked == PERIPLECTIC_RELATIONS
 
 
 def _stream_log(monkeypatch) -> list[tuple[object, list[int]]]:
@@ -542,17 +534,18 @@ def test_derived_relations_are_not_evaluated(monkeypatch, reference_seed):
         log.clear()
         assert verify(rep).passed
         assert sum(len(taken) for _, taken in log) == streamed * rep.dim
-    # on the line y1 = y2 = 0, s = 1, e = -1 the check of s*y1 holds and
-    # C = 2 fails the checks of s*s = 1, e*s = e and s*e = -e: those three
-    # are streamed, and so is each of the four relations s*e is a premise
-    # of; s*e and those four fail at row 0, and s*y1 is still not streamed
+    # on the line y1 = y2 = 0, s = 1, e = -1, C = 2 fails the entry checks,
+    # so the module is streamed like one that is not calibrated: the seven
+    # relations that are not derived, s*y1 among them though it holds, and
+    # s*y2 and e*e, whose premise s*e = -e fails; s*e and four others fail
+    # at row 0
     log.clear()
     line = Rep(1, 0, Mat([[0]]), Mat([[0]]), Mat([[1]]), Mat([[-1]]))
     report = verify_periplectic(line)
     assert [v.relation for v in report.violations] == [
         "s*y2 = y1*s + 1 - e", "e*e = 0", "s*e = -e", "e*y2 = e*y1 + e", "y1*e = y2*e + e",
     ]
-    assert len([taken for rows, taken in log if rows == range(1)]) == 7
+    assert len([taken for rows, taken in log if rows == range(1)]) == 9
 
 
 def test_a_failing_first_row_stops_its_stream(monkeypatch, reference_seed):
