@@ -6,15 +6,21 @@ print a human summary, or a machine document with --json.  Exit codes:
 3 input outside an operation's hypotheses.  Each verb returns its stdout
 text and exit code (0 or 1) and raises on bad input; `main` alone writes
 stdout and exits.
+
+The command line is read here, not by argparse, so that a CLI process
+loads less.  Options may come before or after positionals, `--opt value`
+and `--opt=value` both work, and `--` ends a verb's options.  The parser
+reads what the argparse parser of earlier versions read, and a usage
+error ends with the error line argparse wrote under Python 3.11, on every
+interpreter.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
-import random
+import re
 import sys
-from typing import NoReturn
+from typing import TYPE_CHECKING, NoReturn
 
 from .algebra import (
     e_is_zero,
@@ -38,8 +44,12 @@ from .classify import (
 )
 from .errors import CodecError, PreconditionError, ShapeError
 from .linalg import _decode_at, gauss_to_json, mat_to_json
+from .record import Record
 from .reps import build_rep, entrywise_e, seed_from_json
 from .rhizome import analyze, bipartite_components, parse_pattern
+
+if TYPE_CHECKING:
+    import random
 
 
 def _read_text(path: str) -> str:
@@ -76,56 +86,49 @@ def _load(path: str, decode, text: str | None = None):
         raise CodecError(f"{path}: {exc}") from None
 
 
+class _Option(Record):
+    """An int option of a verb: its flag, the keyword it fills, its default,
+    the least value it takes (None: any), its metavar and its help line."""
+
+    __slots__ = ("flag", "dest", "default", "least", "metavar", "help")
+
+
 class _Command:
     """One verb: the function that runs it, with the parsed arguments as
-    keywords, and the argparse arguments it takes."""
+    keywords, and the arguments it takes: positional file names, int
+    options, and `--json`, which fills `as_json`."""
 
-    __slots__ = ("callback", "arguments", "doc")
+    __slots__ = ("callback", "positionals", "options", "takes_json", "doc")
 
-    def __init__(self, callback, arguments: tuple, doc: str):
+    def __init__(self, callback, positionals: tuple, options: tuple, takes_json: bool, doc: str):
         self.callback = callback
-        self.arguments = arguments
+        self.positionals = positionals
+        self.options = options
+        self.takes_json = takes_json
         self.doc = doc
 
 
 _COMMANDS: dict[str, _Command] = {}
 
 
-def _arg(*names: str, **options: object) -> tuple:
-    """One `add_argument` call's positional and keyword arguments."""
-    return names, options
-
-
-_JSON = _arg("--json", dest="as_json", action="store_true", help="machine-readable output")
-
-
-class _AtLeast(argparse.Action):
-    """Store an int option; one below `const` is a usage error."""
-
-    def __call__(self, parser, namespace, value, option_string=None):
-        if value < self.const:
-            raise argparse.ArgumentError(self, f"must be at least {self.const}, got {value}")
-        setattr(namespace, self.dest, value)
-
-
-def _command(name: str, *arguments: tuple):
+def _command(name: str, *positionals: str, options: tuple = (), takes_json: bool = True):
     """Register the decorated function as verb `name`."""
 
     def register(fn):
-        _COMMANDS[name] = _Command(fn, arguments, fn.__doc__)
+        _COMMANDS[name] = _Command(fn, positionals, options, takes_json, fn.__doc__)
         return fn
 
     return register
 
 
-@_command("construct", _arg("seed_file"))
+@_command("construct", "seed_file", takes_json=False)
 def construct(seed_file: str) -> tuple[str, int]:
     """Build the module of a seed file and print it as JSON."""
     rep = build_rep(_load(seed_file, seed_from_json))
     return json.dumps(rep_to_json(rep), indent=2), 0
 
 
-@_command("verify", _arg("rep_file"), _JSON)
+@_command("verify", "rep_file")
 def verify(rep_file: str, as_json: bool) -> tuple[str, int]:
     """Check the nine defining relations; exit 0 iff all hold."""
     report = verify_periplectic(_load(rep_file, rep_from_json))
@@ -156,7 +159,7 @@ def verify(rep_file: str, as_json: bool) -> tuple[str, int]:
     return text, 0 if report.passed else 1
 
 
-@_command("rhizome", _arg("input_file"), _JSON)
+@_command("rhizome", "input_file")
 def rhizome(input_file: str, as_json: bool) -> tuple[str, int]:
     """Zero-pattern analysis of a coupling matrix.
 
@@ -185,7 +188,7 @@ def rhizome(input_file: str, as_json: bool) -> tuple[str, int]:
     return "\n".join(lines), 0
 
 
-@_command("indecomposable", _arg("seed_file"), _JSON)
+@_command("indecomposable", "seed_file")
 def indecomposable_cmd(seed_file: str, as_json: bool) -> tuple[str, int]:
     """Classify the module of a seed as indecomposable, decomposable, or unknown."""
     verdict = indecomposable(_load(seed_file, seed_from_json))
@@ -200,7 +203,7 @@ def indecomposable_cmd(seed_file: str, as_json: bool) -> tuple[str, int]:
     return "\n".join(lines), 0
 
 
-@_command("endo", _arg("rep_file"), _JSON)
+@_command("endo", "rep_file")
 def endo(rep_file: str, as_json: bool) -> tuple[str, int]:
     """Compute the endomorphism algebra of a module."""
     report = endo_report(_load(rep_file, rep_from_json))
@@ -215,7 +218,7 @@ def endo(rep_file: str, as_json: bool) -> tuple[str, int]:
     return f"dimension: {report.dimension}\nall_diagonal: {all_diagonal}", 0
 
 
-@_command("canonical", _arg("seed_file"), _JSON)
+@_command("canonical", "seed_file")
 def canonical(seed_file: str, as_json: bool) -> tuple[str, int]:
     """Print the canonical orbit representative of a regular rhizomatic seed."""
     form = canonical_form(_load(seed_file, seed_from_json))
@@ -226,7 +229,7 @@ def canonical(seed_file: str, as_json: bool) -> tuple[str, int]:
     return "\n".join(lines), 0
 
 
-@_command("isomorphic", _arg("seed_file_1"), _arg("seed_file_2"), _JSON)
+@_command("isomorphic", "seed_file_1", "seed_file_2")
 def isomorphic_cmd(seed_file_1: str, seed_file_2: str, as_json: bool) -> tuple[str, int]:
     """Decide isomorphism of two seeds' modules; exit 0 iff isomorphic."""
     answer = isomorphic(
@@ -239,7 +242,7 @@ def isomorphic_cmd(seed_file_1: str, seed_file_2: str, as_json: bool) -> tuple[s
     return text, 0 if answer else 1
 
 
-@_command("split", _arg("rep_file"), _JSON)
+@_command("split", "rep_file")
 def split(rep_file: str, as_json: bool) -> tuple[str, int]:
     """Sort a calibrated module into weight blocks and try the core splitter."""
     rep = _load(rep_file, rep_from_json)
@@ -318,18 +321,19 @@ def _fuzz_trial(rng: random.Random, kmax: int, lmax: int) -> list[str]:
 
 @_command(
     "fuzz",
-    _arg("--kmax", type=int, action=_AtLeast, const=1, default=4,
-         help="largest first dimension, at least 1 (default: %(default)s)"),
-    _arg("--lmax", type=int, action=_AtLeast, const=1, default=4,
-         help="largest second dimension, at least 1 (default: %(default)s)"),
-    _arg("--trials", type=int, action=_AtLeast, const=0, default=100,
-         help="number of trials (default: %(default)s)"),
-    _arg("--seed", dest="rng_seed", metavar="SEED", type=int, default=0,
-         help="pseudo-random seed (default: %(default)s)"),
-    _JSON,
+    options=(
+        _Option("--kmax", "kmax", 4, 1, "KMAX", "largest first dimension, at least 1"),
+        _Option("--lmax", "lmax", 4, 1, "LMAX", "largest second dimension, at least 1"),
+        _Option("--trials", "trials", 100, 0, "TRIALS", "number of trials"),
+        _Option("--seed", "rng_seed", 0, None, "SEED", "pseudo-random seed"),
+    ),
 )
 def fuzz(kmax: int, lmax: int, trials: int, rng_seed: int, as_json: bool) -> tuple[str, int]:
     """Run the random property suite; reproducible for a fixed --seed."""
+    # imported here, with the samplers `_fuzz_trial` imports, so that no
+    # other verb pays for it
+    import random
+
     rng = random.Random(rng_seed)
     failures: list[dict] = []
     for trial in range(trials):
@@ -352,19 +356,159 @@ def fuzz(kmax: int, lmax: int, trials: int, rng_seed: int, as_json: bool) -> tup
     return "\n".join(lines), code
 
 
-def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="periplectic",
-        description="Exact construction and classification of calibrated two-strand modules.",
-        allow_abbrev=False,
-    )
-    verbs = parser.add_subparsers(dest="verb", metavar="COMMAND", required=True)
-    for name, command in main.commands.items():
-        help_line = command.doc.split("\n")[0]
-        verb = verbs.add_parser(name, help=help_line, description=command.doc, allow_abbrev=False)
-        for names, options in command.arguments:
-            verb.add_argument(*names, **options)
-    return parser
+# what argparse reads as a negative number, and so as a positional
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
+_HELP = ("-h", "--help")
+
+
+def _split_option(arg: str, known) -> tuple[str, str | None] | None:
+    """None if `arg` is a positional; else its flag, which for an option
+    not in `known` is the whole argument, and the value given with it
+    (`--flag=value` for a known flag, or `-hvalue`), or None."""
+    if arg in known:
+        return arg, None
+    if arg[:1] != "-" or arg == "-":
+        return None
+    flag, eq, value = arg.partition("=")
+    if not (eq and flag in known):
+        if arg[:2] != "-h":
+            return None if _NEGATIVE.match(arg) or " " in arg else (arg, None)
+        # argparse reads `-hX` as -h with the value X
+        flag, value = "-h", arg[2:]
+    if flag == "-h" and value:
+        # ... and each `h` that starts the value as one more -h
+        value = value.lstrip("h") or None
+    return flag, value
+
+
+def _usage(verb: str | None) -> str:
+    if verb is None:
+        return "periplectic [-h] COMMAND ..."
+    command = main.commands[verb]
+    words = [f"periplectic {verb} [-h]"]
+    words += [f"[{option.flag} {option.metavar}]" for option in command.options]
+    words += ["[--json]"] * command.takes_json
+    words += command.positionals
+    return " ".join(words)
+
+
+def _fail(verb: str | None, message: str) -> NoReturn:
+    """A usage error: a usage line and argparse's error line on stderr,
+    nothing on stdout, exit 2."""
+    prog = "periplectic" if verb is None else f"periplectic {verb}"
+    sys.stderr.write(f"usage: {_usage(verb)}\n{prog}: error: {message}\n")
+    sys.exit(2)
+
+
+def _help(verb: str | None) -> NoReturn:
+    """Print the help of the program or of one verb and exit 0."""
+    options = [("-h, --help", "show this help message and exit")]
+    if verb is None:
+        about = "Exact construction and classification of calibrated two-strand modules."
+        sections = [("commands", [(name, c.doc.split("\n")[0]) for name, c in main.commands.items()])]
+    else:
+        command = main.commands[verb]
+        about = "\n".join(line.strip() for line in command.doc.strip().split("\n"))
+        options += [
+            (f"{o.flag} {o.metavar}", f"{o.help} (default: {o.default})") for o in command.options
+        ]
+        options += [("--json", "machine-readable output")] * command.takes_json
+        sections = [("positional arguments", [(name, "") for name in command.positionals])]
+    sections.append(("options", options))
+    width = max(len(name) for _, rows in sections for name, _ in rows)
+    lines = [f"usage: {_usage(verb)}", "", about]
+    for title, rows in sections:
+        if rows:
+            lines += ["", f"{title}:"]
+            lines += [f"  {name:{width}}  {text}".rstrip() for name, text in rows]
+    print("\n".join(lines))
+    sys.exit(0)
+
+
+def _parse(args: list[str]) -> tuple[str, dict]:
+    """The verb that `args` name and the keywords of its callback.  Help
+    exits 0, and a usage error exits 2 with the error line argparse gave
+    under Python 3.11."""
+    extras: list[str] = []
+    for i, arg in enumerate(args):
+        if arg == "--" and i + 1 == len(args):
+            break
+        # argparse takes a `--` with arguments after it for the verb
+        option = None if arg == "--" else _split_option(arg, _HELP)
+        if option is None:
+            if arg not in main.commands:
+                choices = ", ".join(map(repr, main.commands))
+                _fail(None, f"argument COMMAND: invalid choice: {arg!r} (choose from {choices})")
+            values = _parse_verb(arg, args[i + 1 :], extras)
+            if extras:
+                _fail(None, "unrecognized arguments: " + " ".join(extras))
+            return arg, values
+        flag, value = option
+        if flag in _HELP:
+            if value is not None:
+                _fail(None, f"argument -h/--help: ignored explicit argument {value!r}")
+            _help(None)
+        extras.append(arg)
+    _fail(None, "the following arguments are required: COMMAND")
+
+
+def _parse_verb(verb: str, args: list[str], extras: list[str]) -> dict:
+    """The keywords of `verb`'s callback from the arguments after it.
+    Options may come before or after positionals; after the first `--`
+    every argument is a positional.  Arguments left over go to `extras`."""
+    command = main.commands[verb]
+    by_flag = {option.flag: option for option in command.options}
+    known = {*_HELP, *by_flag, *["--json"] * command.takes_json}
+    values = {option.dest: option.default for option in command.options}
+    if command.takes_json:
+        values["as_json"] = False
+    missing = list(command.positionals)
+    ended = filled = False  # a `--` was read; the last argument filled a positional
+    i = 0
+    while i < len(args):
+        arg = args[i]
+        i += 1
+        if arg == "--" and not ended:
+            ended = True
+            # argparse drops the `--` only beside a positional it fills
+            if not (filled or missing and i < len(args)):
+                extras.append(arg)
+            continue
+        option = None if ended else _split_option(arg, known)
+        filled = option is None and bool(missing)
+        if option is None:
+            if missing:
+                values[missing.pop(0)] = arg
+            else:
+                extras.append(arg)
+            continue
+        flag, value = option
+        if flag not in known:
+            extras.append(arg)
+        elif flag in by_flag:
+            if value is None:
+                if i == len(args) or args[i] == "--" or _split_option(args[i], known):
+                    _fail(verb, f"argument {flag}: expected one argument")
+                value = args[i]
+                i += 1
+            try:
+                number = int(value)
+            except ValueError:
+                _fail(verb, f"argument {flag}: invalid int value: {value!r}")
+            least = by_flag[flag].least
+            if least is not None and number < least:
+                _fail(verb, f"argument {flag}: must be at least {least}, got {number}")
+            values[by_flag[flag].dest] = number
+        elif value is not None:
+            name = "-h/--help" if flag in _HELP else flag
+            _fail(verb, f"argument {name}: ignored explicit argument {value!r}")
+        elif flag in _HELP:
+            _help(verb)
+        else:
+            values["as_json"] = True
+    if missing:
+        _fail(verb, "the following arguments are required: " + ", ".join(missing))
+    return values
 
 
 def main(args: list[str] | None = None) -> NoReturn:
@@ -373,8 +517,7 @@ def main(args: list[str] | None = None) -> NoReturn:
     (CodecError) exits 2 and input outside an operation's hypotheses
     (PreconditionError, ShapeError) exits 3, each with the message alone on
     stderr; a usage error exits 2."""
-    options = vars(_parser().parse_args(args))
-    verb = options.pop("verb")
+    verb, options = _parse(sys.argv[1:] if args is None else args)
     try:
         text, code = main.commands[verb].callback(**options)
     except (CodecError, PreconditionError, ShapeError) as exc:

@@ -11,12 +11,14 @@ from __future__ import annotations
 import operator
 import re
 import sys
-from fractions import Fraction
 from functools import total_ordering
 from math import gcd
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .errors import CodecError, PreconditionError, ShapeError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "GaussRat",
@@ -38,10 +40,15 @@ __all__ = [
 
 
 def _as_fraction(value: Fraction | int | str) -> Fraction:
-    if isinstance(value, Fraction):
+    # `fractions` is imported where a Fraction is made, so that importing
+    # the package does not load it; `import fractions` costs less per call
+    # than `from fractions import Fraction`
+    import fractions
+
+    if isinstance(value, fractions.Fraction):
         return value
     if isinstance(value, (int, str)):
-        return Fraction(value)
+        return fractions.Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
@@ -75,11 +82,15 @@ class GaussRat:
 
     @property
     def re(self) -> Fraction:
-        return Fraction(self._a, self._d)
+        import fractions
+
+        return fractions.Fraction(self._a, self._d)
 
     @property
     def im(self) -> Fraction:
-        return Fraction(self._b, self._d)
+        import fractions
+
+        return fractions.Fraction(self._b, self._d)
 
     def __bool__(self) -> bool:
         return self._a != 0 or self._b != 0
@@ -210,7 +221,9 @@ def _coerce(value: object) -> GaussRat | None:
         return value
     if isinstance(value, int):
         return _make(int(value), 0, 1)
-    if isinstance(value, Fraction):
+    import fractions
+
+    if isinstance(value, fractions.Fraction):
         return _make(value.numerator, 0, value.denominator)
     return None
 
@@ -219,7 +232,11 @@ def as_gauss(value: object) -> GaussRat:
     """Coerce ints, Fractions, and 'p/q' strings to GaussRat. Floats are rejected."""
     if isinstance(value, GaussRat):
         return value
-    if isinstance(value, (int, Fraction, str)):
+    if isinstance(value, int):
+        return _make(int(value), 0, 1)
+    import fractions
+
+    if isinstance(value, (fractions.Fraction, str)):
         return GaussRat(value)
     raise TypeError(f"cannot interpret {value!r} as an exact Gaussian rational")
 

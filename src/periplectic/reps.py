@@ -40,7 +40,7 @@ __all__ = [
     "seed_from_json",
 ]
 
-_MINUS_ONE = GaussRat(-1)
+_MINUS_ONE = _make(-1, 0, 1)
 
 
 class Seed(Record):

@@ -16,11 +16,13 @@ closed forms on Fraction pairs, and a monomial change of basis as its
 dense block-diagonal grid; direct sums and split cores are assembled
 on dense grids; and relation reports come from both
 sides of each relation evaluated in full on dense grids of Fraction
-pairs, rather than from generator words.
+pairs, rather than from generator words; and command lines are read by
+the argparse parser the CLI used before it read argv itself.
 """
 
 from __future__ import annotations
 
+import argparse
 import itertools
 from collections import deque
 from fractions import Fraction
@@ -595,3 +597,55 @@ def oracle_relation_report(
             i, j = hit
             violations.append((name, hit, lhs[i][j], rhs[i][j]))
     return not violations, violations, [name for name, _, _ in sides]
+
+
+class _AtLeast(argparse.Action):
+    """Store an int option; one below `const` is a usage error."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < self.const:
+            raise argparse.ArgumentError(self, f"must be at least {self.const}, got {value}")
+        setattr(namespace, self.dest, value)
+
+
+def oracle_cli_parser(commands) -> argparse.ArgumentParser:
+    """The argparse parser the CLI used before it read argv itself, built
+    from the verbs' declarations in `commands` (verb -> command): each
+    positional, each int option with its default, least value, metavar and
+    help, and `--json` into `as_json` where the verb takes it."""
+    parser = argparse.ArgumentParser(
+        prog="periplectic",
+        description="Exact construction and classification of calibrated two-strand modules.",
+        allow_abbrev=False,
+    )
+    verbs = parser.add_subparsers(dest="verb", metavar="COMMAND", required=True)
+    for name, command in commands.items():
+        help_line = command.doc.split("\n")[0]
+        verb = verbs.add_parser(name, help=help_line, description=command.doc, allow_abbrev=False)
+        for positional in command.positionals:
+            verb.add_argument(positional)
+        for option in command.options:
+            bound = {} if option.least is None else {"action": _AtLeast, "const": option.least}
+            verb.add_argument(
+                option.flag,
+                dest=option.dest,
+                metavar=option.metavar,
+                type=int,
+                default=option.default,
+                help=f"{option.help} (default: %(default)s)",
+                **bound,
+            )
+        if command.takes_json:
+            verb.add_argument("--json", dest="as_json", action="store_true", help="machine-readable output")
+    return parser
+
+
+def oracle_cli_parse(commands, args: list[str]) -> tuple[str, dict]:
+    """The verb and callback keywords the argparse parser reads from `args`;
+    it exits as `periplectic` did on help and usage errors.  argparse of
+    Python 3.10.13 to 3.13.0 strips a `--` that is a positional's whole
+    argument (one after the first `--`) and passes [], where 3.13.13
+    passes the `--`; the [] is given back as the `--` it stood for."""
+    options = vars(oracle_cli_parser(commands).parse_args(args))
+    verb = options.pop("verb")
+    return verb, {key: "--" if value == [] else value for key, value in options.items()}

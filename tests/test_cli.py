@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import hashlib
+import io
+import itertools
 import json
 import os
 import random
@@ -12,7 +15,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 import periplectic
 from periplectic import (
@@ -30,6 +33,7 @@ from periplectic import (
     rep_to_json,
     seed_to_json,
 )
+from periplectic import cli
 from periplectic.cli import main
 from periplectic.sampling import (
     random_monomial_pair,
@@ -38,7 +42,7 @@ from periplectic.sampling import (
 )
 
 from cli_runner import run_cli
-from oracles import direct_sum, make_split_core, make_weight_block
+from oracles import direct_sum, make_split_core, make_weight_block, oracle_cli_parse
 from test_sparse_mat import _regular, _repeating, _staircase_seed
 
 REFERENCE = Seed(
@@ -937,29 +941,42 @@ def test_help_lists_all_verbs():
         assert verb in result.stdout
 
 
+# usage errors and the last stderr line argparse gave for each, recorded
+# from the parser of earlier versions under Python 3.11.7; the CLI's own
+# parser writes the same line under every interpreter
+USAGE_ERRORS = {
+    (): "periplectic: error: the following arguments are required: COMMAND",
+    ("bogus",): "periplectic: error: argument COMMAND: invalid choice: 'bogus' "
+    "(choose from 'construct', 'verify', 'rhizome', 'indecomposable', 'endo', 'canonical', 'isomorphic', 'split', 'fuzz')",
+    ("construct",): "periplectic construct: error: the following arguments are required: seed_file",
+    ("isomorphic", "one.json"): "periplectic isomorphic: error: the following arguments are required: "
+    "seed_file_2",
+    ("verify", "--bogus", "rep.json"): "periplectic: error: unrecognized arguments: --bogus",
+    ("split", "--js", "rep.json"): "periplectic: error: unrecognized arguments: --js",
+    ("fuzz", "--trials", "x"): "periplectic fuzz: error: argument --trials: invalid int value: 'x'",
+    ("fuzz", "--kmax", "0"): "periplectic fuzz: error: argument --kmax: must be at least 1, got 0",
+    ("fuzz", "--lmax", "0"): "periplectic fuzz: error: argument --lmax: must be at least 1, got 0",
+    ("fuzz", "--kmax", "-1"): "periplectic fuzz: error: argument --kmax: must be at least 1, got -1",
+    ("fuzz", "--lmax", "-3"): "periplectic fuzz: error: argument --lmax: must be at least 1, got -3",
+    ("fuzz", "--trials", "-3"): "periplectic fuzz: error: argument --trials: must be at least 0, got -3",
+    ("construct", "--json"): "periplectic construct: error: the following arguments are required: seed_file",
+    # argparse from Python 3.13.0 on prints help for this one instead
+    ("verify", "-hx", "rep.json"): "periplectic verify: error: argument -h/--help: ignored explicit "
+    "argument 'x'",
+    # argparse after Python 3.13.0 reads this `--` as the end of the options
+    ("--", "verify", "rep.json"): "periplectic: error: argument COMMAND: invalid choice: '--' "
+    "(choose from 'construct', 'verify', 'rhizome', 'indecomposable', 'endo', 'canonical', 'isomorphic', 'split', 'fuzz')",
+}
+
+
 class TestUsageErrors:
-    @pytest.mark.parametrize(
-        "args",
-        [
-            [],
-            ["bogus"],
-            ["construct"],
-            ["isomorphic", "one.json"],
-            ["verify", "--bogus", "rep.json"],
-            ["split", "--js", "rep.json"],
-            ["fuzz", "--trials", "x"],
-            ["fuzz", "--kmax", "0"],
-            ["fuzz", "--lmax", "0"],
-            ["fuzz", "--kmax", "-1"],
-            ["fuzz", "--lmax", "-3"],
-            ["fuzz", "--trials", "-3"],
-        ],
-    )
+    @pytest.mark.parametrize("args", [list(args) for args in USAGE_ERRORS])
     def test_exits_2_without_output(self, args):
         result = run_cli(args)
         assert result.exit_code == 2
         assert result.stdout == ""
-        assert "usage: periplectic" in result.stderr
+        assert result.stderr.startswith("usage: periplectic")
+        assert result.stderr.splitlines()[-1] == USAGE_ERRORS[tuple(args)]
         assert "Traceback" not in result.stderr
 
     @pytest.mark.parametrize(
@@ -1026,20 +1043,111 @@ def test_hypothesis_errors_exit_3(monkeypatch, verb):
         assert result.stderr == f"{error}\n"
 
 
+# what the parser test draws command lines from: verbs, options with good,
+# bad, negative and `=` values, `--`, help, unknown options, `-`, file
+# names and junk.  argparse of Python 3.10 to 3.13 reads these words alike,
+# so the test holds under each; `-hx`, which it does not, is in USAGE_ERRORS
+ARGV_WORDS = st.sampled_from(
+    [
+        *VERBS,
+        "--json",
+        "--kmax",
+        "--lmax",
+        "--trials",
+        "--seed",
+        "3",
+        "0",
+        "-1",
+        "-3",
+        "x",
+        "--kmax=2",
+        "--lmax=0",
+        "--trials=-1",
+        "--seed=-4",
+        "--trials=x",
+        "--kmax=",
+        "--json=1",
+        "--",
+        "-h",
+        "--help",
+        "-hh",
+        "-x",
+        "-",
+        "seed.json",
+        "rep.json",
+        "",
+        "bogus",
+        "--bogus",
+        "--js",
+        "a b",
+    ]
+)
+
+
+def _running_argv(verb: str):
+    """The verb, then its file names with up to two of `--json`, `--` and
+    `--seed=-4` in any order: command lines that often run."""
+    extras = st.lists(st.sampled_from(["--json", "--", "--seed=-4"]), max_size=2)
+    rest = extras.flatmap(lambda extra: st.permutations([*VERB_ARGS[verb], *extra]))
+    return rest.map(lambda rest: [verb, *rest])
+
+
+def _outcome(parse, args: list[str]) -> tuple:
+    """("call", verb, keywords), ("help",) or ("usage error",): what
+    `parse` makes of `args`."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            return ("call", *parse(args))
+        except SystemExit as exc:
+            code = exc.code
+    if code == 0:
+        assert stdout.getvalue().startswith("usage: periplectic") and stderr.getvalue() == ""
+        return ("help",)
+    assert code == 2 and stdout.getvalue() == ""
+    assert stderr.getvalue().startswith("usage: periplectic")
+    return ("usage error",)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.lists(ARGV_WORDS, max_size=7)
+    | st.builds(lambda verb, rest: [verb, *rest], st.sampled_from(VERBS), st.lists(ARGV_WORDS, max_size=5))
+    | st.sampled_from(VERBS).flatmap(_running_argv)
+)
+def test_parser_agrees_with_argparse(args):
+    """The CLI's parser and the argparse parser it replaced read the same
+    verb and keywords, or both print help, or both exit 2 on a usage
+    error."""
+    # argparse after Python 3.13.0 reads a `--` before the verb as the end
+    # of the options (USAGE_ERRORS pins the reading of earlier releases)
+    assume("--" not in itertools.takewhile(lambda arg: arg.startswith("-"), args))
+    expected = _outcome(lambda args: oracle_cli_parse(main.commands, args), args)
+    event(expected[0])
+    assert _outcome(cli._parse, args) == expected
+
+
+# standard-library modules that no verb but `fuzz` needs: the CLI reads argv
+# itself, and a Fraction is made only where one is asked for
+UNNEEDED_STDLIB = ("argparse", "gettext", "locale", "fractions", "decimal", "numbers", "random")
+
+
 def test_startup_imports():
     """`import periplectic` loads every module the benchmark tracer wraps;
-    `import periplectic.cli` then adds no click, no dataclasses and not the
-    fuzz samplers.  -S keeps site hooks from importing anything first."""
+    `import periplectic.cli` then adds no click, no dataclasses, not the
+    fuzz samplers and none of UNNEEDED_STDLIB.  -S keeps site hooks from
+    importing anything first."""
     probe = """if True:
         import sys
         import periplectic
         wrapped = ("linalg", "algebra", "reps", "rhizome", "classify")
         print(all(f"periplectic.{name}" in sys.modules for name in wrapped))
         import periplectic.cli
-        print([m for m in ("click", "dataclasses", "periplectic.sampling") if m in sys.modules])
+        print([m for m in sys.argv[1:] if m in sys.modules])
     """
+    absent = ("click", "dataclasses", "periplectic.sampling", *UNNEEDED_STDLIB)
     done = subprocess.run(
-        [sys.executable, "-S", "-c", probe],
+        [sys.executable, "-S", "-c", probe, *absent],
         env=dict(os.environ, PYTHONPATH=SRC),
         capture_output=True,
         text=True,
@@ -1047,6 +1155,66 @@ def test_startup_imports():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == ["True", "[]"]
+
+
+def test_round_trip_verbs_load_no_unneeded_stdlib(tmp_path):
+    """`construct`, `verify`, `split --json`, `indecomposable --json` and
+    `canonical --json`, run through `main` in one -S child, load none of
+    UNNEEDED_STDLIB.  The first GaussRat made from a string then loads
+    `fractions`, and GaussRat's Fraction paths work."""
+    probe = """if True:
+        import contextlib, io, json, sys
+        from periplectic.cli import main
+
+        def run(*args):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                try:
+                    main(list(args))
+                except SystemExit as exc:
+                    return exc.code, out.getvalue()
+
+        seed, rep, absent = sys.argv[1], sys.argv[2], sys.argv[3:]
+        code, text = run("construct", seed)
+        with open(rep, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        runs = [("verify", rep), ("split", "--json", rep), ("indecomposable", "--json", seed),
+                ("canonical", "--json", seed)]
+        codes = [code] + [run(*args)[0] for args in runs]
+        loaded = [m for m in absent if m in sys.modules]
+        from periplectic import GaussRat, as_gauss
+        half = GaussRat("1/2")
+        lazily = "fractions" in sys.modules
+        import pickle
+        from fractions import Fraction
+        print(json.dumps({
+            "codes": codes, "loaded": loaded, "lazily": lazily,
+            "re": repr(half.re), "str": str(half), "repr": repr(half),
+            "pickle": pickle.loads(pickle.dumps(half)) == half,
+            "as_gauss": as_gauss(Fraction(3, 4)) == GaussRat("3/4"),
+            "rmul": Fraction(1, 2) * GaussRat(1) == half,
+        }))
+    """
+    seed = _write(tmp_path, "seed.json", json.dumps(seed_to_json(REFERENCE)))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe, seed, str(tmp_path / "rep.json"), *UNNEEDED_STDLIB],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {
+        "codes": [0, 0, 0, 0, 0],
+        "loaded": [],
+        "lazily": True,
+        "re": "Fraction(1, 2)",
+        "str": "1/2",
+        "repr": "GaussRat(re=Fraction(1, 2), im=Fraction(0, 1))",
+        "pickle": True,
+        "as_gauss": True,
+        "rmul": True,
+    }
 
 
 def test_cli_runs_as_a_process(tmp_path):
