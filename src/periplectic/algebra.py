@@ -165,8 +165,9 @@ class RelationReport(Record):
 
 def _check(rep: Rep) -> RelationReport:
     """Check the nine relations on the generators of `rep`.  Each side of a
-    relation is a sum of signed words over the symbols y1, y2, s and e;
-    bound to the generators, it is what `linalg._word_rows` takes, which
+    relation is a sum of signed words of up to two symbols over y1, y2, s
+    and e; bound to the generators and padded with the identity to
+    products (c, L, R), it is what `linalg._word_rows` takes, which
     streams the rows of lhs - rhs.  Only a relation that is streamed is
     bound.  A violation is the first nonzero row, at its smallest nonzero
     column: the one entry where lhs and rhs, that row alone, are evaluated
@@ -179,9 +180,10 @@ def _check(rep: Rep) -> RelationReport:
     table order."""
 
     mats = dict(zip(("y1", "y2", "s", "e"), rep.generators()))
+    one = Mat.identity(rep.dim)
 
     def bind(words: list) -> list:
-        return [(c, *(mats[x] for x in symbols)) for c, *symbols in words]
+        return [(c, *(mats[x] for x in symbols), one, one)[:3] for c, *symbols in words]
 
     failed = {}
     for name, lhs, rhs in _ORDER:

@@ -170,7 +170,10 @@ class GaussRat:
         return o / self
 
     def __repr__(self) -> str:
-        return f"GaussRat(re={self.re!r}, im={self.im!r})"
+        try:
+            return f"GaussRat(re={self.re!r}, im={self.im!r})"
+        except ValueError:
+            raise _too_many_digits() from None
 
     def __str__(self) -> str:
         re, im = self.re, self.im
@@ -395,8 +398,9 @@ class Mat:
 
     @classmethod
     def _from_words(cls, words: Sequence[tuple], rows: int, cols: int) -> "Mat":
-        """The sum of words c*L*R (see `_word_rows`) as a rows x cols Mat: the
-        builder of every Mat sum and product, one gcd per stored entry."""
+        """The sum of product words (c, L, R) (see `_word_rows`) as a rows x
+        cols Mat: the builder of every Mat sum and product, one gcd per stored
+        entry.  A sum pads each term with the identity."""
         return cls._from_rows(
             [
                 {j: _reduce(a, b, d) for j, (a, b, d) in acc.items() if a or b}
@@ -457,7 +461,7 @@ class Mat:
         return hash((self.shape, tuple(frozenset(row.items()) for row in self.nonzero)))
 
     def __neg__(self) -> "Mat":
-        return Mat._from_words([(-1, self)], self.rows, self.cols)
+        return self.scale(-1)
 
     def __add__(self, other: "Mat") -> "Mat":
         return self._combine(other, 1)
@@ -471,7 +475,8 @@ class Mat:
             return NotImplemented
         if self.shape != other.shape:
             raise ShapeError(f"cannot add {self.shape} and {other.shape}")
-        return Mat._from_words([(1, self), (sign, other)], self.rows, self.cols)
+        one = Mat.identity(self.cols)
+        return Mat._from_words([(1, self, one), (sign, other, one)], self.rows, self.cols)
 
     def __mul__(self, other: object) -> "Mat":
         if isinstance(other, Mat):
@@ -596,24 +601,21 @@ def _word_rows(
     words: Iterable[tuple], rows: Iterable[int]
 ) -> Iterator[dict[int, tuple[int, int, int]]]:
     """Yield row i of the sum of words c*L*R, c = 1 or -1, for each i in
-    `rows` in turn, as unreduced (a, b, d) triples by column.  R, or L and
-    R, may be left out of a word (c, L, R); each stands for the identity.
-    Words are resolved once per call and added in the order given, with one
-    loop per shape: a helper call or identity lookup per term costs more
-    than the rest of the loop.  Sums add numerators when denominators
-    match; when one divides the other, the smaller is scaled up, and
-    otherwise the two are cross-multiplied.  No sum is reduced here; the
-    caller reduces each entry once.  A sum that cancels keeps a zero pair."""
-    plan = [(c, *(m.nonzero for m in mats), None, None)[:3] for c, *mats in words]
+    `rows` in turn, as unreduced (a, b, d) triples by column.  Every word is
+    a product (c, L, R); a caller pads a shorter one with the identity.
+    Words are resolved once per call and added in the order given.  Sums
+    add numerators when denominators match; when one divides the other, the
+    smaller is scaled up, and otherwise the two are cross-multiplied.  No
+    sum is reduced here; the caller reduces each entry once.  A sum that
+    cancels keeps a zero pair."""
+    plan = [(c, left.nonzero, right.nonzero) for c, left, right in words]
     for i in rows:
         acc: dict[int, tuple[int, int, int]] = {}
         for c, left, right in plan:
-            if left is None:
-                va, vb, vd = acc.get(i, (0, 0, 1))
-                acc[i] = (va + c * vd, vb, vd)
-            elif right is None:
-                for j, x in left[i].items():
-                    a, b, d = c * x._a, c * x._b, x._d
+            for p, x in left[i].items():
+                xa, xb, xd = c * x._a, c * x._b, x._d
+                for j, y in right[p].items():
+                    a, b, d = xa * y._a - xb * y._b, xa * y._b + xb * y._a, xd * y._d
                     v = acc.get(j)
                     if v is None:
                         acc[j] = (a, b, d)
@@ -629,26 +631,6 @@ def _word_rows(
                         acc[j] = (va * m + a, vb * m + b, d)
                     else:
                         acc[j] = (va * d + a * vd, vb * d + b * vd, vd * d)
-            else:
-                for p, x in left[i].items():
-                    xa, xb, xd = c * x._a, c * x._b, x._d
-                    for j, y in right[p].items():
-                        a, b, d = xa * y._a - xb * y._b, xa * y._b + xb * y._a, xd * y._d
-                        v = acc.get(j)
-                        if v is None:
-                            acc[j] = (a, b, d)
-                            continue
-                        va, vb, vd = v
-                        if vd == d:
-                            acc[j] = (va + a, vb + b, d)
-                        elif not vd % d:
-                            m = vd // d
-                            acc[j] = (va + a * m, vb + b * m, vd)
-                        elif not d % vd:
-                            m = d // vd
-                            acc[j] = (va * m + a, vb * m + b, d)
-                        else:
-                            acc[j] = (va * d + a * vd, vb * d + b * vd, vd * d)
         yield acc
 
 

@@ -381,7 +381,7 @@ class TestDigitLimit:
         if not limit:
             pytest.skip("the interpreter has no int-to-str limit")
         assert gauss_to_json(GaussRat(10 ** (limit - 1))) == ["1" + "0" * (limit - 1) + "/1", "0/1"]
-        for write in (gauss_to_json, str):
+        for write in (gauss_to_json, str, repr):
             with pytest.raises(PreconditionError) as info:
                 write(GaussRat(0, 10**limit))
             assert "\n" not in str(info.value)

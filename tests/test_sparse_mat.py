@@ -211,16 +211,16 @@ class TestWordKernel:
     def test_dividing_denominators_are_scaled_up(self, order):
         # 1/2 + 1/4 + 1/8 in any order stays over 8: the smaller of two
         # denominators is scaled up when it divides the larger
-        words = [(1, Mat([[F(1, d)]])) for d in order]
+        words = [(1, Mat([[F(1, d)]]), Mat.identity(1)) for d in order]
         assert list(linalg._word_rows(words, [0])) == [{0: (7, 0, 8)}]
 
     def test_coprime_denominators_are_cross_multiplied(self):
-        words = [(1, Mat([[F(1, 2)]]), Mat([[F(1, 3)]])), (-1, Mat([[F(1, 5)]]))]
+        words = [(1, Mat([[F(1, 2)]]), Mat([[F(1, 3)]])), (-1, Mat([[F(1, 5)]]), Mat.identity(1))]
         assert list(linalg._word_rows(words, [0])) == [{0: (-1, 0, 30)}]
 
     def test_a_cancelling_sum_keeps_zero_pairs(self):
-        a = Mat([[F(1, 3), F(-5, 9)], [0, F(1, 6)]])
-        words = [(1,), (1, a, a), (-1, a), (-1, a, a), (-1,), (1, a)]
+        a, one = Mat([[F(1, 3), F(-5, 9)], [0, F(1, 6)]]), Mat.identity(2)
+        words = [(1, one, one), (1, a, a), (-1, a, one), (-1, a, a), (-1, one, one), (1, a, one)]
         rows = linalg._word_rows(words, [1, 0])
         pairs = [{j: (x, y) for j, (x, y, _) in acc.items()} for acc in rows]
         assert pairs == [{1: (0, 0)}, {0: (0, 0), 1: (0, 0)}]
@@ -229,11 +229,11 @@ class TestWordKernel:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_sums_of_words_match_the_reference(self, data):
-        # words of all three shapes, (c,), (c, L) and (c, L, R), with c = 1
-        # or -1, over denominators that meet every branch of the update;
-        # with its own negation appended the sum cancels everywhere
+        # products (c, L, R) of 0-2 factors padded with the identity, with
+        # c = 1 or -1, over denominators that meet every branch of the
+        # update; with its own negation appended the sum cancels everywhere
         n = data.draw(st.integers(1, 5))
-        one = pair_diagonal([(F(1), F(0))] * n)
+        one, identity = pair_diagonal([(F(1), F(0))] * n), Mat.identity(n)
         words, expected = [], pair_zero_grid(n, n)
         for _ in range(data.draw(st.integers(1, 4))):
             c = data.draw(st.sampled_from([1, -1]))
@@ -243,7 +243,7 @@ class TestWordKernel:
             for g in factors:
                 term = pair_product(term, g, n)
             expected = pair_sum(expected, term if c == 1 else pair_neg(term))
-            words.append((c, *(mat(g, n) for g in factors)))
+            words.append((c, *(mat(g, n) for g in factors), identity, identity)[:3])
         cancel = data.draw(st.booleans())
         if cancel:
             words += [(-c, *mats) for c, *mats in words]
