@@ -15,13 +15,12 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .algebra import Rep
+from .algebra import Rep, verify_periplectic
 from .errors import PreconditionError, ShapeError
 from .linalg import (
     GaussRat,
     Mat,
     ONE,
-    ZERO,
     as_gauss,
     gauss_to_json,
     mat_to_json,
@@ -405,24 +404,29 @@ class WeightBlockPartition(Record):
     other_blocks: tuple[tuple[GaussRat, tuple[int, ...], tuple[int, ...]], ...]
 
 
+def _require_relations(rep: Rep) -> None:
+    """Raise PreconditionError on the first violation verify_periplectic reports."""
+    report = verify_periplectic(rep)
+    if not report.passed:
+        v = report.violations[0]
+        raise PreconditionError(f"input violates {v.relation} at {v.position}: {v.lhs} != {v.rhs}")
+
+
 def split_weight_blocks(rep: Rep) -> tuple[WeightBlockPartition, Rep, Rep | None]:
     """Sort a calibrated module by y1 - y2 weight into the (+1, -1) core and
     the paired blocks on which e acts by zero.
 
-    The relations force the block structure: weights off the core come in
-    (d, -d) pairs coupled only through s, whose diagonal must be -1/weight,
-    and e vanishes outside the (+1, -1) corner.  Any deviation means the
-    input does not satisfy the relations and is reported as an error.
+    The input must satisfy the relations (verify_periplectic), and then the
+    relations force the block structure, as the algebra module docstring
+    shows: every weight w is nonzero with s diagonal -1/w, s couples weight
+    w only to weight -w, and e vanishes outside the (+1, -1) corner.
     Returns (partition, core module, remaining module or None).
     """
+    _require_relations(rep)
     d = _weights(rep, "weight splitting")
     by_weight: dict[GaussRat, list[int]] = {}
     for i, di in enumerate(d):
         by_weight.setdefault(di, []).append(i)
-    if ZERO in by_weight:
-        raise PreconditionError(
-            f"basis vector {by_weight[ZERO][0]} has weight 0, impossible under the relations"
-        )
     plus = by_weight.pop(ONE, [])
     minus = by_weight.pop(_MINUS_ONE, [])
 
@@ -431,26 +435,6 @@ def split_weight_blocks(rep: Rep) -> tuple[WeightBlockPartition, Rep, Rep | None
         (key, tuple(by_weight.get(key, ())), tuple(by_weight.get(-key, ())))
         for key in sorted({max(w, -w) for w in by_weight})
     ]
-
-    # row-major scan of the positions where e or s is nonzero, plus the
-    # diagonal of s
-    for p, (e_row, s_row) in enumerate(zip(rep.e.nonzero, rep.s.nonzero)):
-        for q in sorted(e_row.keys() | s_row.keys() | {p}):
-            if q in e_row and not (d[p] == ONE and d[q] == _MINUS_ONE):
-                raise PreconditionError(
-                    f"e has entry {e_row[q]} at {(p, q)} outside the (+1,-1) corner"
-                )
-            if p == q:
-                expected = -d[p].inverse()
-                if s_row.get(p, ZERO) != expected:
-                    raise PreconditionError(
-                        f"s diagonal at {p} is {s_row.get(p, ZERO)}, expected {expected}"
-                    )
-            elif q in s_row and d[p] != -d[q]:
-                raise PreconditionError(
-                    f"s has entry {s_row[q]} at {(p, q)} between unpaired weights"
-                )
-
     partition = WeightBlockPartition(tuple(plus), tuple(minus), tuple(blocks))
 
     def restrict(k: int, idx: list[int]) -> Rep:
@@ -465,25 +449,19 @@ def split_weight_blocks(rep: Rep) -> tuple[WeightBlockPartition, Rep, Rep | None
 def split_core(rep: Rep) -> Verdict:
     """Try to split a core-shaped module along the lower-left block of s.
 
-    With s = [[-1, S], [T, 1]] in block form and T nonzero, the pivot
+    The input must satisfy the relations (verify_periplectic), and on a
+    core they force s = [[-1, S], [T, 1]] in block form, with S*T = 0 and
+    T*S = 0 (see the algebra module docstring).  With T nonzero, the pivot
     coordinates of T and its column space span one invariant summand; the
     kernel of T and the coordinate complement of the column space span the
     other.  T = 0 says nothing (classify from the seed instead), and a T of
     full rank on both sides leaves no complement to split off.
     """
     k = check_core_shape(rep, "core splitting", "not in core shape")
+    _require_relations(rep)
     n = rep.dim
     l = n - k
-    s_rows = rep.s.nonzero
-    if any({j: x for j, x in s_rows[i].items() if j < k} != {i: _MINUS_ONE} for i in range(k)):
-        raise PreconditionError("upper-left block of s is not -identity")
-    if any({j: x for j, x in s_rows[i].items() if j >= k} != {i: ONE} for i in range(k, n)):
-        raise PreconditionError("lower-right block of s is not the identity")
-
     lower = rep.s.submatrix(range(k, n), range(k))
-    upper = rep.s.submatrix(range(k), range(k, n))
-    if not (upper * lower).is_zero() or not (lower * upper).is_zero():
-        raise PreconditionError("s does not square to the identity on the core")
     if lower.is_zero():
         return Verdict(
             UNKNOWN,

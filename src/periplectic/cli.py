@@ -245,12 +245,7 @@ def isomorphic_cmd(seed_file_1: str, seed_file_2: str, as_json: bool) -> tuple[s
 @_command("split", "rep_file")
 def split(rep_file: str, as_json: bool) -> tuple[str, int]:
     """Sort a calibrated module into weight blocks and try the core splitter."""
-    rep = _load(rep_file, rep_from_json)
-    report = verify_periplectic(rep)
-    if not report.passed:
-        v = report.violations[0]
-        raise PreconditionError(f"input violates {v.relation} at {v.position}: {v.lhs} != {v.rhs}")
-    partition, core, rest = split_weight_blocks(rep)
+    partition, core, rest = split_weight_blocks(_load(rep_file, rep_from_json))
     core_verdict = split_core(core)
     if as_json:
         document = {

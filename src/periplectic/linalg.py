@@ -640,26 +640,26 @@ def _echelon(
     """Forward elimination over sparse rows; returns (pivot rows, pivot columns).
 
     Each row is a {column: entry} dict of its nonzero entries, as `Mat`
-    stores them; the input dicts are read, never written.  Nonzero rows
-    wait under their leading column, in arrival order.  Each step takes the
-    rows waiting under the smallest leading column c: the first one,
-    divided by its entry at c, is the pivot row, and every other row r
-    becomes r - r[c] * pivot_row, evaluated only where r or the pivot row
-    is nonzero, and waits again under its new leading column unless it is
-    zero.  So the result depends on the input order only.  Both steps work
-    on (a, b, d) triples and reduce every entry they write once: the
-    division multiplies by r*(p - q*i)/(p^2 + q^2) for a pivot (p + q*i)/r,
-    and the update adds numerators when denominators are equal and
-    cross-multiplies otherwise.
+    stores them; the input dicts are read, never written: each nonzero row
+    is copied once, and waits under its leading column in arrival order.
+    Each step takes the rows waiting under the smallest leading column c:
+    the first one, divided by its entry at c, is the pivot row, and every
+    other row r becomes r - r[c] * pivot_row in place, evaluated only where
+    r or the pivot row is nonzero, and waits again under its new leading
+    column unless it is zero.  So the result depends on the input order
+    only.  Both steps work on (a, b, d) triples and reduce every entry they
+    write once: the division multiplies by r*(p - q*i)/(p^2 + q^2) for a
+    pivot (p + q*i)/r, and the update adds numerators when denominators are
+    equal and cross-multiplies otherwise.
 
     The pivot rows come out monic, by increasing pivot column.  Every entry
     met is a ratio of two minors of the input (Edmonds 1967), so entries
     do not grow with the number of steps.
     """
-    waiting: dict[int, list[Mapping[int, GaussRat]]] = {}
+    waiting: dict[int, list[dict[int, GaussRat]]] = {}
     for row in rows:
         if row:
-            waiting.setdefault(min(row), []).append(row)
+            waiting.setdefault(min(row), []).append(dict(row))
     ech: list[Mapping[int, GaussRat]] = []
     pivots: list[int] = []
     while waiting:
@@ -675,10 +675,9 @@ def _echelon(
         ech.append(head)
         pivots.append(c)
         rest = [(j, y._a, y._b, y._d) for j, y in head.items() if j != c]
-        for row in others:
-            lead = row[c]
+        for out in others:
+            lead = out.pop(c)
             p, q, r = -lead._a, -lead._b, lead._d
-            out = {j: x for j, x in row.items() if j != c}
             for j, ya, yb, yd in rest:
                 # (p + q*i)/r times the pivot entry, unreduced
                 ua, ub, ud = p * ya - q * yb, p * yb + q * ya, r * yd

@@ -6,6 +6,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from periplectic import (
     DECOMPOSABLE,
@@ -40,6 +41,7 @@ from periplectic import classify, linalg
 from periplectic.sampling import (
     random_gauss,
     random_monomial_pair,
+    random_nonzero_gauss,
     random_rhizomatic_matrix,
     random_seed,
 )
@@ -57,6 +59,7 @@ from oracles import (
     pair_monomial,
     pair_product,
 )
+from test_algebra import _changed, _unitriangular_conjugate
 
 TWO_I = GaussRat(0, 2)
 
@@ -439,8 +442,15 @@ class TestSplitWeightBlocks:
 
     def test_requires_calibration(self):
         rep = build_rep(REFERENCE)
-        with pytest.raises(PreconditionError, match="diagonal"):
+        # y1 = s breaks a relation, and relations are checked first
+        with pytest.raises(PreconditionError) as info:
             split_weight_blocks(Rep(rep.k, rep.l, rep.s, rep.y2, rep.s, rep.e))
+        assert str(info.value) == "input violates y1*y2 = y2*y1 at (0, 4): 1 != -1+2i"
+        conjugate = _unitriangular_conjugate(rep, random.Random(6))
+        assert verify_periplectic(conjugate).passed
+        with pytest.raises(PreconditionError) as info:
+            split_weight_blocks(conjugate)
+        assert str(info.value) == "weight splitting needs diagonal y1 and y2"
 
     def test_rejects_weight_zero(self):
         flat = Rep(
@@ -451,8 +461,9 @@ class TestSplitWeightBlocks:
             s=Mat.identity(1),
             e=Mat.zero(1, 1),
         )
-        with pytest.raises(PreconditionError, match="weight 0"):
+        with pytest.raises(PreconditionError) as info:
             split_weight_blocks(flat)
+        assert str(info.value) == "input violates s*y1 = y2*s - 1 - e at (0, 0): 2 != 1"
 
     def test_rejects_e_outside_corner(self):
         rep = build_rep(REFERENCE)
@@ -463,14 +474,16 @@ class TestSplitWeightBlocks:
             ],
             cols=5,
         )
-        with pytest.raises(PreconditionError, match="outside"):
+        with pytest.raises(PreconditionError) as info:
             split_weight_blocks(Rep(rep.k, rep.l, rep.y1, rep.y2, rep.s, bad_e))
+        assert str(info.value) == "input violates s*y1 = y2*s - 1 - e at (3, 0): 0 != -1"
 
     def test_rejects_wrong_s_diagonal(self):
         block = make_weight_block(q(2), q(3), q(5))
         bad_s = Mat([[q(1), block.s[0, 1]], [block.s[1, 0], block.s[1, 1]]])
-        with pytest.raises(PreconditionError, match="diagonal at 0"):
+        with pytest.raises(PreconditionError) as info:
             split_weight_blocks(Rep(1, 1, block.y1, block.y2, bad_s, block.e))
+        assert str(info.value) == "input violates s*s = 1 at (0, 0): 17/9 != 1"
 
     def test_rejects_coupling_between_unpaired_weights(self):
         a = make_weight_block(q(2), q(3), q(5))
@@ -478,10 +491,11 @@ class TestSplitWeightBlocks:
         total = direct_sum([a, b])
         grid = [[total.s[i, j] for j in range(4)] for i in range(4)]
         grid[0][3] = q(1)
-        with pytest.raises(PreconditionError, match="unpaired"):
+        with pytest.raises(PreconditionError) as info:
             split_weight_blocks(
                 Rep(total.k, total.l, total.y1, total.y2, Mat(grid, cols=4), total.e)
             )
+        assert str(info.value) == "input violates s*s = 1 at (0, 2): 15/16 != 0"
 
 
 class TestSplitCore:
@@ -554,8 +568,9 @@ class TestSplitCore:
         )
         grid = [[base.s[i, j] for j in range(4)] for i in range(4)]
         grid[2][1] = q(5)  # now the coupling blocks overlap
-        with pytest.raises(PreconditionError, match="square"):
+        with pytest.raises(PreconditionError) as info:
             split_core(Rep(2, 2, base.y1, base.y2, Mat(grid, cols=4), base.e))
+        assert str(info.value) == "input violates s*s = 1 at (0, 1): 15 != 0"
 
     def test_rejects_mismatched_declared_split(self):
         rep = build_rep(REFERENCE)
@@ -566,8 +581,9 @@ class TestSplitCore:
         rep = build_rep(REFERENCE)
         grid = [[rep.s[i, j] for j in range(5)] for i in range(5)]
         grid[0][1] = q(1)
-        with pytest.raises(PreconditionError, match="upper-left"):
+        with pytest.raises(PreconditionError) as info:
             split_core(Rep(3, 2, rep.y1, rep.y2, Mat(grid, cols=5), rep.e))
+        assert str(info.value) == "input violates s*s = 1 at (0, 1): -2 != 0"
 
     def test_rejects_wrong_lower_right_block(self):
         rep = build_rep(REFERENCE)
@@ -575,22 +591,89 @@ class TestSplitCore:
         grid[4][3] = q(1)
         with pytest.raises(PreconditionError) as info:
             split_core(Rep(3, 2, rep.y1, rep.y2, Mat(grid, cols=5), rep.e))
-        assert str(info.value) == "lower-right block of s is not the identity"
+        assert str(info.value) == "input violates s*s = 1 at (0, 3): 1 != 0"
 
     def test_rejects_non_diagonal_weights(self):
         rep = build_rep(REFERENCE)
         grid = [[rep.y1[i, j] for j in range(5)] for i in range(5)]
         grid[0][1] = q(1)
         bad = Rep(3, 2, Mat(grid, cols=5), rep.y2, rep.s, rep.e)
+        # split_weight_blocks checks the relations, which `bad` breaks, first
+        with pytest.raises(PreconditionError) as info:
+            split_weight_blocks(bad)
+        assert str(info.value) == "input violates y1*y2 = y2*y1 at (0, 1): -1-2i != -1+2i"
+        conjugate = _unitriangular_conjugate(rep, random.Random(7))
+        assert verify_periplectic(conjugate).passed
         # every reader of the weights refuses in the same words
-        for operation, name in (
-            (split_core, "core splitting"),
-            (split_weight_blocks, "weight splitting"),
-            (extension_profile, "extension profile"),
+        for operation, name, inputs in (
+            (split_core, "core splitting", (bad, conjugate)),
+            (split_weight_blocks, "weight splitting", (conjugate,)),
+            (extension_profile, "extension profile", (bad, conjugate)),
         ):
-            with pytest.raises(PreconditionError) as info:
-                operation(bad)
-            assert str(info.value) == f"{name} needs diagonal y1 and y2"
+            for module in inputs:
+                with pytest.raises(PreconditionError) as info:
+                    operation(module)
+                assert str(info.value) == f"{name} needs diagonal y1 and y2"
+
+
+def _splitter_input(kind: str, rng: random.Random) -> Rep:
+    """A module that satisfies the relations: a built seed, a shuffled
+    direct sum of one with weight blocks, or a core split by make_split_core."""
+    if kind == "built":
+        return build_rep(random_seed(rng, 3, 3))
+    if kind == "sum":
+        parts = [build_rep(random_seed(rng, 2, 2))]
+        parts += [
+            make_weight_block(random_gauss(rng), q(rng.randint(2, 4), rng.randint(-2, 2)),
+                              random_nonzero_gauss(rng))
+            for _ in range(rng.randint(1, 2))
+        ]
+        rng.shuffle(parts)
+        return direct_sum(parts)
+    def block(rows: int, cols: int) -> Mat:
+        return Mat([[random_gauss(rng) for _ in range(cols)] for _ in range(rows)], cols=cols)
+
+    na, nb = rng.randint(1, 2), rng.randint(1, 2)
+    return make_split_core(
+        a_free=[random_gauss(rng) for _ in range(na)],
+        b_free=[random_gauss(rng) for _ in range(nb)],
+        shared=random_gauss(rng),
+        coupling_up=block(na, nb),
+        coupling_down=block(rng.randint(1, 2), rng.randint(1, 2)),
+    )
+
+
+def _refuses(operation, rep: Rep) -> bool:
+    try:
+        operation(rep)
+    except PreconditionError:
+        return True
+    return False
+
+
+class TestSplittersCheckRelations:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(("built", "sum", "core")),
+        st.sampled_from((None, "s", "e", "conjugate")),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_refuse_exactly_what_verify_shape_or_calibration_refuses(self, kind, change, seed):
+        rng = random.Random(seed)
+        rep = _splitter_input(kind, rng)
+        assert verify_periplectic(rep).passed
+        n = rep.dim
+        if change == "conjugate":
+            rep = _unitriangular_conjugate(rep, rng)
+        elif change is not None:
+            rep = _changed(rep, change, rng.randrange(n), rng.randrange(n), q(rng.randint(1, 3)))
+        fails = not verify_periplectic(rep).passed
+        calibrated = rep.is_calibrated
+        core_shaped = calibrated and [rep.y1[i, i] - rep.y2[i, i] for i in range(n)] == (
+            [q(1)] * rep.k + [q(-1)] * rep.l
+        )
+        assert _refuses(split_weight_blocks, rep) == (fails or not calibrated)
+        assert _refuses(split_core, rep) == (fails or not core_shaped)
 
 
 class TestENonzeroGuarantee:

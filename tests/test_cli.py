@@ -32,6 +32,7 @@ from periplectic import (
     group_act,
     rep_to_json,
     seed_to_json,
+    verify_periplectic,
 )
 from periplectic import cli
 from periplectic.cli import main
@@ -43,6 +44,7 @@ from periplectic.sampling import (
 
 from cli_runner import run_cli
 from oracles import direct_sum, make_split_core, make_weight_block, oracle_cli_parse
+from test_algebra import _unitriangular_conjugate
 from test_sparse_mat import _regular, _repeating, _staircase_seed
 
 REFERENCE = Seed(
@@ -834,12 +836,27 @@ class TestSplit:
         assert result.stdout == json.dumps(document, indent=2) + "\n"
 
     def test_rejects_invalid_module(self, tmp_path):
-        for document, _ in _invalid_modules():
+        stderr = [
+            "input violates s*y1 = y2*s - 1 - e at (0, 4): 0 != -1+2i\n",
+            "input violates s*y1 = y2*s - 1 - e at (0, 1): 10 != 4\n",
+        ]
+        for (document, _), line in zip(_invalid_modules(), stderr, strict=True):
             path = _write(tmp_path, "broken.json", json.dumps(document))
             result = run_cli(["split", path])
-            assert (result.exit_code, result.stdout) == (3, "")
-            assert result.stderr.startswith("input violates")
-            assert "Traceback" not in result.stderr
+            assert (result.exit_code, result.stdout, result.stderr) == (3, "", line)
+
+    def test_rejects_module_that_is_not_calibrated(self, tmp_path):
+        # the relations hold, so the refusal is the calibration one
+        rep = _unitriangular_conjugate(build_rep(REFERENCE), random.Random(6))
+        assert verify_periplectic(rep).passed
+        path = _write(tmp_path, "conjugate.json", json.dumps(rep_to_json(rep)))
+        for args in (["split", path], ["split", "--json", path]):
+            result = run_cli(args)
+            assert (result.exit_code, result.stdout, result.stderr) == (
+                3,
+                "",
+                "weight splitting needs diagonal y1 and y2\n",
+            )
 
 
 # each fuzz property: the `cli` global replaced so that it fails, the
